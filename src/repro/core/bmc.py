@@ -16,7 +16,7 @@ ranks 1 and 3.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -190,6 +190,13 @@ class BMC:
             return f"BMC{self.slots}"
 
 
-# make dataclass + cached_property coexist (frozen dataclass forbids setattr;
-# cached_property needs __dict__, which frozen dataclasses still have).
-field  # silence unused-import linters
+def round_robin(counts: list[int]) -> list[int]:
+    """Dimensions interleaved round-robin until dimension ``i`` has been
+    used ``counts[i]`` times, e.g. ``[2, 1] -> [0, 1, 0]``."""
+    out, left = [], list(counts)
+    while any(left):
+        for i in range(len(left)):
+            if left[i] > 0:
+                out.append(i)
+                left[i] -= 1
+    return out

@@ -8,18 +8,17 @@ BMTree GC/LC reward variants) and to the Spark layout chooser.
 """
 from __future__ import annotations
 
-import numpy as np
-
 from .bmc import BMC
 from .global_cost import GlobalCostEstimator, global_cost_single, naive_global_cost
 from .local_cost import PatternTables, naive_local_cost, sections_via_patterns
-from .query import RangeQuery
+from .query import RangeQuery, Workload, as_workload
 
 
 class WorkloadCostEstimator:
     """O(n)-init, O(1)-per-BMC estimator of ``C = Cg(Q) * Cl(Q)``."""
 
-    def __init__(self, queries: list[RangeQuery], d: int, ell: int):
+    def __init__(self, queries: Workload | list[RangeQuery], d: int, ell: int):
+        queries = as_workload(queries)
         self.d, self.ell, self.n = d, ell, len(queries)
         self.gc = GlobalCostEstimator(queries, d, ell)
         self.lc = PatternTables(queries, d, ell)
@@ -56,7 +55,7 @@ class WorkloadCostEstimator:
         return out
 
 
-def naive_cost(sigma: BMC, queries: list[RangeQuery]) -> int:
+def naive_cost(sigma: BMC, queries: Workload | list[RangeQuery]) -> int:
     """Baseline combined cost: NGC * NLC, no precomputation."""
     return naive_global_cost(sigma, queries) * naive_local_cost(sigma, queries)
 
@@ -65,13 +64,3 @@ def per_query_cost(sigma: BMC, q: RangeQuery) -> int:
     """Eq. 4 for a single query using the O(1) per-query paths."""
     return global_cost_single(sigma, q) * sections_via_patterns(sigma, q)
 
-
-def workload_cost_arrays(
-    lo: np.ndarray, hi: np.ndarray, d: int, ell: int
-) -> WorkloadCostEstimator:
-    """Build an estimator directly from (n, d) lo/hi arrays."""
-    queries = [
-        RangeQuery(tuple(int(x) for x in lo[i]), tuple(int(x) for x in hi[i]))
-        for i in range(len(lo))
-    ]
-    return WorkloadCostEstimator(queries, d, ell)

@@ -17,7 +17,8 @@ from __future__ import annotations
 import numpy as np
 
 from .bmc import BMC
-from .query import RangeQuery, queries_to_arrays
+from .patterns import count_dtype
+from .query import RangeQuery, Workload, queries_to_arrays
 
 
 def global_cost_single(sigma: BMC, q: RangeQuery) -> int:
@@ -25,7 +26,7 @@ def global_cost_single(sigma: BMC, q: RangeQuery) -> int:
     return sigma.value(q.hi) - sigma.value(q.lo) + 1
 
 
-def naive_global_cost(sigma: BMC, queries: list[RangeQuery]) -> int:
+def naive_global_cost(sigma: BMC, queries: Workload | list[RangeQuery]) -> int:
     """NGC baseline: O(n * d * ell) per candidate BMC."""
     total = 0
     for q in queries:
@@ -47,7 +48,7 @@ class GlobalCostEstimator:
     matching shape in O(d * ell).
     """
 
-    def __init__(self, queries: list[RangeQuery], d: int, ell: int):
+    def __init__(self, queries: Workload | list[RangeQuery], d: int, ell: int):
         lo, hi = queries_to_arrays(queries)
         if lo.shape[1] != d:
             raise ValueError(f"workload is {lo.shape[1]}-dimensional, expected {d}")
@@ -55,11 +56,14 @@ class GlobalCostEstimator:
             raise ValueError(f"query coordinates exceed 2^{ell} - 1")
         self.d = d
         self.ell = ell
-        self.n = len(queries)
+        self.n = len(lo)
         # A[j][k] = sum over queries of (bit k of hi_j) - (bit k of lo_j)
+        x = np.array([hi.T, lo.T], dtype=count_dtype(ell))
+        t = np.empty_like(x)
         self.A = np.zeros((d, ell), dtype=np.int64)
         for k in range(ell):
-            self.A[:, k] = (((hi >> k) & 1) - ((lo >> k) & 1)).sum(axis=0)
+            ones = np.bitwise_and(np.right_shift(x, k, out=t), 1, out=t).sum(axis=2)
+            self.A[:, k] = ones[0] - ones[1]
 
     def cost(self, sigma: BMC) -> int:
         """O(d * ell) per BMC — the paper's "GC"."""

@@ -24,9 +24,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .bmc import BMC
+from .bmc import BMC, MAX_TOTAL_BITS
 from .patterns import count_drop, count_rise, drop_matrix, rise_matrix
-from .query import RangeQuery, queries_to_arrays
+from .query import RangeQuery, Workload, queries_to_arrays
 
 # ---------------------------------------------------------------------------
 # Brute-force baseline (NLC)
@@ -49,7 +49,7 @@ def exact_edges(sigma: BMC, q: RangeQuery) -> int:
     return int(np.count_nonzero(np.diff(vals) == 1))
 
 
-def naive_local_cost(sigma: BMC, queries: list[RangeQuery]) -> int:
+def naive_local_cost(sigma: BMC, queries: Workload | list[RangeQuery]) -> int:
     """NLC: total number of query sections, brute force per query."""
     return sum(exact_sections(sigma, q) for q in queries)
 
@@ -122,6 +122,40 @@ def sections_via_patterns(sigma: BMC, q: RangeQuery) -> int:
 # ---------------------------------------------------------------------------
 
 
+#: Below this many cells in the workload every table entry, and every
+#: partial sum that builds it, is an integer a float64 holds exactly.
+EXACT_FLOAT_CELLS = 1 << 53
+#: Bound on the entries of one block's outer product in the table
+#: contraction (about queries * (ell+1)^(d-1)), which sets the block size.
+_BLOCK_ENTRIES = 1 << 22
+
+
+def total_cells(lo: np.ndarray, hi: np.ndarray) -> int:
+    """``sum_q V(q)`` as an exact Python int.
+
+    With ``d * ell <= 63`` each ``V(q) <= 2^63`` fits a uint64; the
+    32-bit halves of the ``V(q)`` are summed apart so the sum cannot wrap."""
+    v = np.prod((hi - lo + 1).astype(np.uint64), axis=1, dtype=np.uint64)
+    return (int((v >> np.uint64(32)).sum()) << 32) + int((v & np.uint64(0xFFFFFFFF)).sum())
+
+
+def _pattern_table(rise: np.ndarray, drops: list[np.ndarray], dtype) -> np.ndarray:
+    """``table[k-1, c_1, ..., c_m] = sum_q rise[q, k-1] * prod_i drops[i][q, c_i]``
+    (Algorithm 1): per block of queries, the outer product of ``rise``
+    and all drops but the last, times the last drop matrix."""
+    shape = (rise.shape[1], *(m.shape[1] for m in drops))
+    step = max(1, _BLOCK_ENTRIES // int(np.prod(shape[1:], dtype=np.int64)))
+    table = 0
+    for s in range(0, len(rise), step):
+        outer = rise[s : s + step].astype(dtype)
+        for drop in drops[:-1]:
+            block = drop[s : s + step].astype(dtype)
+            outer = (outer[:, :, None] * block[:, None, :]).reshape(len(outer), -1)
+        last = drops[-1][s : s + step].astype(dtype) if drops else np.ones((len(outer), 1), dtype)
+        table = table + outer.T @ last
+    return table.reshape(shape)
+
+
 class PatternTables:
     """BMC-independent pattern tables for a workload (Definition 7).
 
@@ -131,33 +165,38 @@ class PatternTables:
     ``c_i`` (ascending dimension index, ``b`` skipped).  Entry
     ``[k-1, c_1, ..., c_{d-1}]`` holds
     ``sum_q N(R_b^k) * prod_i N(D_i^{c_i})`` (Algorithm 1, vectorized
-    as one einsum over the workload).
+    as matrix products over the workload).
+
+    Every entry is at most ``total_cells``, which picks the arithmetic:
+    float64 matrix products, stored as int64, below
+    :data:`EXACT_FLOAT_CELLS`; Python ints above it.
 
     After this O(n) initialization ("ILC"), :meth:`local_cost` scores
     any BMC in O(d * ell) table lookups (Algorithm 2, "LC").
     """
 
-    def __init__(self, queries: list[RangeQuery], d: int, ell: int):
+    def __init__(self, queries: Workload | list[RangeQuery], d: int, ell: int):
         lo, hi = queries_to_arrays(queries)
         if lo.shape[1] != d:
             raise ValueError(f"workload is {lo.shape[1]}-dimensional, expected {d}")
         if np.any(hi >= (1 << ell)):
             raise ValueError(f"query coordinates exceed 2^{ell} - 1")
-        self.d, self.ell, self.n = d, ell, len(queries)
+        if d * ell > MAX_TOTAL_BITS:
+            raise ValueError(f"d*ell = {d * ell} exceeds {MAX_TOTAL_BITS} bits")
+        self.d, self.ell, self.n = d, ell, len(lo)
         # V = sum of cell counts, BMC independent (Eq. 10 first term).
-        self.total_cells = int(np.prod(hi - lo + 1, axis=1, dtype=object).sum())
+        self.total_cells = total_cells(lo, hi)
+        fits_float = self.total_cells < EXACT_FLOAT_CELLS
         rises = [rise_matrix(lo[:, i], hi[:, i], ell) for i in range(d)]
         drops = [drop_matrix(lo[:, i], hi[:, i], ell) for i in range(d)]
-        letters = "abcdefgh"
         self.tables: list[np.ndarray] = []
         for b in range(d):
-            others = [i for i in range(d) if i != b]
-            sub_in = ["nk"] + [f"n{letters[t]}" for t in range(len(others))]
-            sub_out = "k" + "".join(letters[t] for t in range(len(others)))
-            operands = [rises[b]] + [drops[i] for i in others]
-            self.tables.append(
-                np.einsum(",".join(sub_in) + "->" + sub_out, *operands)
-            )
+            others = [drops[i] for i in range(d) if i != b]
+            if fits_float:
+                table = _pattern_table(rises[b], others, np.float64).astype(np.int64)
+            else:
+                table = _pattern_table(rises[b], others, object)
+            self.tables.append(table)
 
     def edges(self, sigma: BMC) -> int:
         """Algorithm 2's accumulation: total directed edges over Q."""
@@ -188,10 +227,12 @@ class PatternTables:
         out.d, out.ell = first.d, first.ell
         out.n = sum(p.n for p in parts)
         out.total_cells = sum(p.total_cells for p in parts)
-        out.tables = [np.zeros_like(t) for t in first.tables]
+        # the merged entries are bounded by the merged total_cells
+        dtype = np.int64 if out.total_cells < EXACT_FLOAT_CELLS else object
+        out.tables = [np.zeros(t.shape, dtype=dtype) for t in first.tables]
         for p in parts:
             if (p.d, p.ell) != (first.d, first.ell):
                 raise ValueError("mismatched table shapes")
             for acc, t in zip(out.tables, p.tables):
-                acc += t
+                acc += t.astype(dtype)
         return out

@@ -61,29 +61,41 @@ def drop_vector(xs: int, xe: int, ell: int) -> np.ndarray:
     return np.array([count_drop(xs, xe, k) for k in range(ell + 1)], dtype=np.int64)
 
 
+def count_dtype(ell: int) -> type:
+    """Integer dtype of the vectorized counts over ``ell``-bit
+    coordinates: every intermediate is below ``2^(ell+1)``, so int32
+    (which numpy shifts several times faster) holds it up to ell = 30."""
+    return np.int32 if ell <= 30 else np.int64
+
+
 def rise_matrix(lo: np.ndarray, hi: np.ndarray, ell: int) -> np.ndarray:
     """Vectorized rise counts: (n,) ranges -> (n, ell) matrix.
 
-    Row i is ``rise_vector(lo[i], hi[i], ell)``."""
-    lo = np.asarray(lo, dtype=np.int64)
-    hi = np.asarray(hi, dtype=np.int64)
-    out = np.empty((len(lo), ell), dtype=np.int64)
+    Row i is ``rise_vector(lo[i], hi[i], ell)``.  The rise coordinates
+    ``a*2^k + 2^(k-1)`` at most ``x`` number ``(x + 2^(k-1)) >> k``, so
+    ``N(R^k) = ((xe + 2^(k-1)) >> k) - ((xs + 2^(k-1)) >> k)``."""
+    x = np.array([hi, lo], dtype=count_dtype(ell))
+    out = np.empty((ell, x.shape[1]), dtype=x.dtype)
+    t = np.empty_like(x)
     for k in range(1, ell + 1):
-        p = 1 << k
-        half = 1 << (k - 1)
-        a_min = np.maximum(0, -(-(lo - (half - 1)) // p))
-        a_max = (hi - half) // p
-        out[:, k - 1] = np.maximum(0, a_max - a_min + 1)
-    return out
+        np.right_shift(np.add(x, 1 << (k - 1), out=t), k, out=t)
+        np.subtract(t[0], t[1], out=out[k - 1])
+    return out.T
 
 
 def drop_matrix(lo: np.ndarray, hi: np.ndarray, ell: int) -> np.ndarray:
-    """Vectorized drop counts: (n,) ranges -> (n, ell+1) matrix."""
-    lo = np.asarray(lo, dtype=np.int64)
-    hi = np.asarray(hi, dtype=np.int64)
-    out = np.empty((len(lo), ell + 1), dtype=np.int64)
-    out[:, 0] = hi - lo + 1
+    """Vectorized drop counts: (n,) ranges -> (n, ell+1) matrix.
+
+    ``N(D^k) = max(0, ((xe + 1) >> k) + ((-xs) >> k))``: the aligned
+    blocks of ``2^k`` cells inside ``[xs, xe]``, ``(-xs) >> k`` being
+    ``-ceil(xs / 2^k)``."""
+    x = np.array([hi, lo], dtype=count_dtype(ell))
+    x[0] += 1
+    np.negative(x[1], out=x[1])
+    out = np.empty((ell + 1, x.shape[1]), dtype=x.dtype)
+    np.add(x[0], x[1], out=out[0])
+    t = np.empty_like(x)
     for k in range(1, ell + 1):
-        p = 1 << k
-        out[:, k] = np.maximum(0, (hi + 1) // p - (-(-lo // p)))
-    return out
+        np.right_shift(x, k, out=t)
+        np.maximum(np.add(t[0], t[1], out=out[k]), 0, out=out[k])
+    return out.T

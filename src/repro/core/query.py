@@ -3,6 +3,13 @@
 A query is an axis-aligned box of grid cells, inclusive on both ends in
 every dimension: ``[lo[i], hi[i]]`` are cell coordinates (column
 indices), not raw data values.  ``n_cells`` is the paper's ``V(q)``.
+
+A workload of ``n`` queries is a :class:`Workload`: two validated
+``(n, d)`` int64 arrays ``lo`` and ``hi``, which the estimators, the
+learners and the Spark layer read directly.  :class:`RangeQuery` is the
+scalar helper for one query (brute-force baselines, the paper's worked
+examples, block-store queries); indexing or iterating a ``Workload``
+yields them.
 """
 from __future__ import annotations
 
@@ -74,13 +81,72 @@ class RangeQuery:
         return self.lo, self.hi
 
 
-def queries_to_arrays(queries: list[RangeQuery]) -> tuple[np.ndarray, np.ndarray]:
-    """Stack a workload into (n, d) ``lo`` and ``hi`` arrays."""
-    if not queries:
+class Workload:
+    """``n`` range queries as two read-only (n, d) int64 arrays.
+
+    ``len``, slicing (another ``Workload``) and ``==`` work on the
+    arrays; indexing or iterating yields :class:`RangeQuery` objects of
+    plain Python ints."""
+
+    __slots__ = ("lo", "hi")
+
+    def __init__(self, lo, hi):
+        lo = np.array(lo, dtype=np.int64)
+        hi = np.array(hi, dtype=np.int64)
+        if lo.ndim != 2 or lo.shape != hi.shape:
+            raise ValueError(f"lo/hi must be (n, d) arrays of one shape: {lo.shape}, {hi.shape}")
+        if np.any(lo < 0) or np.any(hi < lo):
+            raise ValueError("invalid range: need 0 <= lo <= hi")
+        lo.flags.writeable = False
+        hi.flags.writeable = False
+        self.lo, self.hi = lo, hi
+
+    @property
+    def d(self) -> int:
+        return self.lo.shape[1]
+
+    def __len__(self) -> int:
+        return len(self.lo)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return Workload(self.lo[i], self.hi[i])
+        return RangeQuery(tuple(self.lo[i].tolist()), tuple(self.hi[i].tolist()))
+
+    def __iter__(self):
+        for lo, hi in zip(self.lo.tolist(), self.hi.tolist()):
+            yield RangeQuery(tuple(lo), tuple(hi))
+
+    def __eq__(self, other):
+        if not isinstance(other, Workload):
+            return NotImplemented
+        return np.array_equal(self.lo, other.lo) and np.array_equal(self.hi, other.hi)
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return f"Workload(n={len(self)}, d={self.d})"
+
+
+def queries_to_arrays(queries) -> tuple[np.ndarray, np.ndarray]:
+    """The (n, d) ``lo`` and ``hi`` arrays of a workload.
+
+    A :class:`Workload`'s arrays are returned as they are; a list of
+    :class:`RangeQuery` is stacked once."""
+    if not len(queries):
         raise ValueError("empty workload")
+    if isinstance(queries, Workload):
+        return queries.lo, queries.hi
     d = queries[0].d
     if any(q.d != d for q in queries):
         raise ValueError("mixed dimensionality workload")
     lo = np.array([q.lo for q in queries], dtype=np.int64)
     hi = np.array([q.hi for q in queries], dtype=np.int64)
     return lo, hi
+
+
+def as_workload(queries) -> Workload:
+    """``queries`` as a :class:`Workload`, converting a list only once."""
+    if isinstance(queries, Workload):
+        return queries
+    return Workload(*queries_to_arrays(queries))

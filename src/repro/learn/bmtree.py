@@ -24,6 +24,10 @@ Reward variants:
   (the original BMTree's empirical estimate; cost ∝ sample size).
 * ``"gc"`` — workload global cost (Eq. 6) of the node's queries.
 * ``"lc"`` — workload local cost (Algorithms 1-2) of the node's queries.
+
+The GC/LC estimators are initialized once per node, over the node's
+clipped queries, and then score each of its ``d`` candidate curves in
+O(1), as the paper's method does.
 """
 from __future__ import annotations
 
@@ -32,10 +36,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.bmc import BMC
+from repro.core.bmc import BMC, round_robin
 from repro.core.global_cost import GlobalCostEstimator
 from repro.core.local_cost import PatternTables
-from repro.core.query import RangeQuery
+from repro.core.query import RangeQuery, Workload, as_workload
 from repro.storage.blockstore import BlockStore
 
 REWARDS = ("sp", "gc", "lc")
@@ -47,13 +51,7 @@ def _fill_curve(prefix_msb: list[int], d: int, ell: int) -> BMC:
     used = [prefix_msb.count(i) for i in range(d)]
     if any(u > ell for u in used):
         raise ValueError("prefix uses more bits than available")
-    rest: list[int] = []
-    left = [ell - u for u in used]
-    while any(left):
-        for i in range(d):
-            if left[i] > 0:
-                rest.append(i)
-                left[i] -= 1
+    rest = round_robin([ell - u for u in used])
     # slots are LSB-first: the filled remainder first (reversed so its
     # round-robin order reads MSB-first), then the prefix reversed on top
     msb_first = prefix_msb + rest
@@ -108,27 +106,32 @@ class BMTreeLite:
         self.stats = BMTreeStats()
 
     # -- reward functions --------------------------------------------------
-    def _score(
-        self, sigma: BMC, queries: list[RangeQuery], sample: np.ndarray
-    ) -> float:
+    def _scores(self, curves: list[BMC], queries: Workload, sample: np.ndarray) -> list[float]:
+        """Reward of each candidate curve over the node's queries."""
         t0 = time.perf_counter()
         try:
             if self.reward == "sp":
-                if len(sample) == 0 or not queries:
-                    return 0.0
-                store = BlockStore(sample, sigma.values(sample), self.reward_block_size)
-                return store.avg_block_accesses(queries)
-            if not queries:
-                return 0.0
+                if len(sample) == 0:
+                    return [0.0] * len(curves)
+                qs = list(queries)
+                return [
+                    BlockStore(sample, s.values(sample), self.reward_block_size)
+                    .avg_block_accesses(qs)
+                    for s in curves
+                ]
             if self.reward == "gc":
-                return float(GlobalCostEstimator(queries, self.d, self.ell).cost(sigma))
-            return float(PatternTables(queries, self.d, self.ell).local_cost(sigma))
+                gc = GlobalCostEstimator(queries, self.d, self.ell)
+                return [float(gc.cost(s)) for s in curves]
+            lc = PatternTables(queries, self.d, self.ell)
+            return [float(lc.local_cost(s)) for s in curves]
         finally:
             self.stats.reward_seconds += time.perf_counter() - t0
-            self.stats.n_reward_evals += 1
+            self.stats.n_reward_evals += len(curves)
 
     # -- construction ------------------------------------------------------
-    def fit(self, points: np.ndarray, queries: list[RangeQuery]) -> "BMTreeLite":
+    def fit(
+        self, points: np.ndarray, queries: Workload | list[RangeQuery]
+    ) -> "BMTreeLite":
         """Learn the piecewise curve from data + workload.
 
         ``points`` is the full dataset; the SP reward samples
@@ -148,7 +151,7 @@ class BMTreeLite:
             lo=(0,) * self.d,
             hi=(top,) * self.d,
             prefix=[],
-            queries=queries,
+            queries=as_workload(queries),
             sample=sample,
         )
         self.leaves.sort(key=lambda leaf: leaf.lo)
@@ -156,7 +159,7 @@ class BMTreeLite:
         self.stats.n_leaves = len(self.leaves)
         return self
 
-    def _build(self, lo, hi, prefix, queries, sample) -> None:
+    def _build(self, lo, hi, prefix, queries: Workload, sample) -> None:
         depth = len(prefix)
         used = [prefix.count(i) for i in range(self.d)]
         candidates = [i for i in range(self.d) if used[i] < self.ell]
@@ -164,15 +167,16 @@ class BMTreeLite:
             self.leaves.append(_Leaf(lo, hi, _fill_curve(prefix, self.d, self.ell)))
             return
         self.stats.n_nodes += 1
-        # clip the workload to this subspace
-        local_q = [c for q in queries if (c := q.clip(lo, hi)) is not None]
-        if len(candidates) == 1 or not local_q:
+        # clip the workload to this subspace, dropping disjoint queries
+        qlo = np.maximum(queries.lo, lo)
+        qhi = np.minimum(queries.hi, hi)
+        inside = (qlo <= qhi).all(axis=1)
+        local_q = Workload(qlo[inside], qhi[inside])
+        if len(candidates) == 1 or not len(local_q):
             best = candidates[depth % len(candidates)]
         else:
-            scores = [
-                self._score(_fill_curve(prefix + [i], self.d, self.ell), local_q, sample)
-                for i in candidates
-            ]
+            curves = [_fill_curve(prefix + [i], self.d, self.ell) for i in candidates]
+            scores = self._scores(curves, local_q, sample)
             best = candidates[int(np.argmin(scores))]
         self.stats.choices.append(best)
         # split on the most significant unused bit of `best`

@@ -20,22 +20,9 @@ import math
 import time
 from dataclasses import dataclass
 
-import numpy as np
-
-from repro.core.bmc import BMC
+from repro.core.bmc import BMC, round_robin
 from repro.core.cost_model import WorkloadCostEstimator
-from repro.core.query import RangeQuery
-
-
-def _round_robin(counts: list[int]) -> list[int]:
-    """Interleave dims round-robin until each dim i is used counts[i] times."""
-    out, left = [], list(counts)
-    while any(left):
-        for i in range(len(left)):
-            if left[i] > 0:
-                out.append(i)
-                left[i] -= 1
-    return out
+from repro.core.query import RangeQuery, Workload, queries_to_arrays
 
 
 def _grouped(counts: list[int], order: list[int]) -> list[int]:
@@ -45,13 +32,16 @@ def _grouped(counts: list[int], order: list[int]) -> list[int]:
     return out
 
 
-def design_candidates(queries: list[RangeQuery], d: int, ell: int) -> list[BMC]:
+def design_candidates(
+    queries: Workload | list[RangeQuery], d: int, ell: int
+) -> list[BMC]:
     """The QUILTS candidate family for a workload (deduplicated)."""
-    extents = np.array([[q.extent(i) for i in range(d)] for q in queries], dtype=float)
+    lo, hi = queries_to_arrays(queries)
+    extents = (hi - lo + 1).astype(float)
     a = [min(ell, max(0, int(round(math.log2(max(1.0, e)))))) for e in extents.mean(axis=0)]
-    low = _round_robin(a)  # LSB-first low part: one query-sized tile
+    low = round_robin(a)  # LSB-first low part: one query-sized tile
     rest = [ell - ai for ai in a]
-    highs = [_round_robin(rest)]
+    highs = [round_robin(rest)]
     for order in ([*range(d)], [*reversed(range(d))]):
         highs.append(_grouped(rest, list(order)))
     cands = []
@@ -78,7 +68,9 @@ class QuiltsResult:
     learn_seconds: float
 
 
-def quilts(estimator: WorkloadCostEstimator, queries: list[RangeQuery]) -> QuiltsResult:
+def quilts(
+    estimator: WorkloadCostEstimator, queries: Workload | list[RangeQuery]
+) -> QuiltsResult:
     """Design candidates from the workload shape and pick the cheapest."""
     t0 = time.perf_counter()
     cands = design_candidates(queries, estimator.d, estimator.ell)

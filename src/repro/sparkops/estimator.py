@@ -19,36 +19,21 @@ import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 
 from repro.core.cost_model import WorkloadCostEstimator
-from repro.core.query import RangeQuery
+from repro.core.query import RangeQuery, Workload, queries_to_arrays
 
 _PARTIAL_SCHEMA = "payload binary"
 
 
 def queries_to_spark(
-    spark: SparkSession, queries: list[RangeQuery], n_partitions: int = 8
+    spark: SparkSession, queries: Workload | list[RangeQuery], n_partitions: int = 8
 ) -> DataFrame:
     """Workload as a DataFrame with lo_<i>/hi_<i> integer columns."""
-    if not queries:
-        raise ValueError("empty workload")
-    d = queries[0].d
+    lo, hi = queries_to_arrays(queries)
     data = {}
-    for i in range(d):
-        data[f"lo_{i}"] = [q.lo[i] for q in queries]
-        data[f"hi_{i}"] = [q.hi[i] for q in queries]
+    for i in range(lo.shape[1]):
+        data[f"lo_{i}"] = lo[:, i]
+        data[f"hi_{i}"] = hi[:, i]
     return spark.createDataFrame(pd.DataFrame(data)).repartition(n_partitions)
-
-
-def spark_queries_to_list(df: DataFrame) -> list[RangeQuery]:
-    """Collect a query DataFrame back into RangeQuery objects."""
-    d = sum(1 for c in df.columns if c.startswith("lo_"))
-    pdf = df.toPandas()
-    return [
-        RangeQuery(
-            tuple(int(pdf[f"lo_{i}"].iloc[r]) for i in range(d)),
-            tuple(int(pdf[f"hi_{i}"].iloc[r]) for i in range(d)),
-        )
-        for r in range(len(pdf))
-    ]
 
 
 def fit_estimator_distributed(
@@ -60,27 +45,22 @@ def fit_estimator_distributed(
     tables (both additive) inside the Python workers; only the tiny
     summaries (O(d * ell * (ell+1)^(d-1)) numbers) cross the wire.
     """
-    cols = [f"lo_{i}" for i in range(d)] + [f"hi_{i}" for i in range(d)]
-    missing = [c for c in cols if c not in queries_df.columns]
+    lo_cols = [f"lo_{i}" for i in range(d)]
+    hi_cols = [f"hi_{i}" for i in range(d)]
+    missing = [c for c in lo_cols + hi_cols if c not in queries_df.columns]
     if missing:
         raise ValueError(f"query DataFrame lacks columns {missing}")
 
     def build_partial(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
-        queries = []
-        for pdf in batches:
-            for r in range(len(pdf)):
-                queries.append(
-                    RangeQuery(
-                        tuple(int(pdf[f"lo_{i}"].iloc[r]) for i in range(d)),
-                        tuple(int(pdf[f"hi_{i}"].iloc[r]) for i in range(d)),
-                    )
-                )
-        if queries:
+        pdfs = [pdf for pdf in batches if len(pdf)]
+        if pdfs:
+            pdf = pd.concat(pdfs)
+            queries = Workload(pdf[lo_cols].to_numpy(), pdf[hi_cols].to_numpy())
             part = WorkloadCostEstimator(queries, d, ell)
             yield pd.DataFrame({"payload": [pickle.dumps(part)]})
 
     rows = (
-        queries_df.select(*cols)
+        queries_df.select(*lo_cols, *hi_cols)
         .mapInPandas(build_partial, schema=_PARTIAL_SCHEMA)
         .collect()
     )

@@ -12,21 +12,12 @@ import math
 
 import numpy as np
 
-from repro.core.query import RangeQuery
-
-
-def _box_at(center: np.ndarray, w: int, h: int, ell: int) -> RangeQuery:
-    """Axis-aligned w x h cell box around ``center``, clipped to grid."""
-    top = (1 << ell) - 1
-    cx, cy = int(center[0]), int(center[1])
-    lo_x = max(0, min(cx - w // 2, top - (w - 1)))
-    lo_y = max(0, min(cy - h // 2, top - (h - 1)))
-    return RangeQuery((lo_x, lo_y), (min(top, lo_x + w - 1), min(top, lo_y + h - 1)))
+from repro.core.query import Workload
 
 
 def random_squares(
     n: int, ell: int, delta: int, seed: int = 0, d: int = 2
-) -> list[RangeQuery]:
+) -> Workload:
     """``n`` square (hypercube) queries of edge ``delta`` at uniform
     random locations — used for the cost-estimation efficiency
     experiments, which are data independent (§6.2)."""
@@ -34,15 +25,8 @@ def random_squares(
     top = (1 << ell) - 1
     if delta > top + 1:
         raise ValueError("query edge exceeds the grid")
-    out = []
-    for _ in range(n):
-        lo = g.integers(0, top - delta + 2, size=d)
-        out.append(
-            RangeQuery(
-                tuple(int(x) for x in lo), tuple(int(x) + delta - 1 for x in lo)
-            )
-        )
-    return out
+    lo = g.integers(0, top - delta + 2, size=(n, d))
+    return Workload(lo, lo + (delta - 1))
 
 
 def data_following(
@@ -52,17 +36,21 @@ def data_following(
     delta: int,
     aspect: float = 1.0,
     seed: int = 0,
-) -> list[RangeQuery]:
+) -> Workload:
     """``n`` queries of area ~``delta^2`` centred on sampled data points
     (so the workload follows the data distribution, as in the paper).
 
     ``aspect`` is width:height — e.g. 16 gives long flat queries, 1/16
-    tall thin ones (Figure 16's sweep)."""
+    tall thin ones (Figure 16's sweep).  Each ``w x h`` box is clipped
+    to the grid by shifting it inside."""
     g = np.random.default_rng(seed)
     w = max(1, int(round(delta * math.sqrt(aspect))))
     h = max(1, int(round(delta / math.sqrt(aspect))))
-    centers = points[g.integers(0, len(points), size=n)]
-    return [_box_at(c, w, h, ell) for c in centers]
+    top = (1 << ell) - 1
+    size = np.array([w, h], dtype=np.int64)
+    centers = points[g.integers(0, len(points), size=n)][:, :2].astype(np.int64)
+    lo = np.maximum(0, np.minimum(centers - size // 2, top - (size - 1)))
+    return Workload(lo, np.minimum(top, lo + size - 1))
 
 
 def learning_and_test_workloads(
@@ -73,7 +61,7 @@ def learning_and_test_workloads(
     n_test: int = 2000,
     aspect: float = 1.0,
     seed: int = 0,
-) -> tuple[list[RangeQuery], list[RangeQuery]]:
+) -> tuple[Workload, Workload]:
     """The paper's split: n_learn queries for SFC learning, n_test
     generated separately (different seed stream) for evaluation."""
     learn = data_following(points, n_learn, ell, delta, aspect, seed=seed)

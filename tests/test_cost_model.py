@@ -3,12 +3,7 @@ import numpy as np
 import pytest
 
 from repro.core.bmc import BMC
-from repro.core.cost_model import (
-    WorkloadCostEstimator,
-    naive_cost,
-    per_query_cost,
-    workload_cost_arrays,
-)
+from repro.core.cost_model import WorkloadCostEstimator, naive_cost, per_query_cost
 from repro.core.query import RangeQuery
 
 
@@ -53,16 +48,6 @@ class TestCombinedCost:
         est = WorkloadCostEstimator([RangeQuery((0, 0), (1, 1))], 2, 4)
         with pytest.raises(ValueError):
             est.best_of([])
-
-    def test_workload_cost_arrays(self):
-        lo = np.array([[0, 0], [2, 2]])
-        hi = np.array([[1, 1], [3, 3]])
-        est = workload_cost_arrays(lo, hi, 2, 4)
-        sigma = BMC.zc(2, 4)
-        direct = WorkloadCostEstimator(
-            [RangeQuery((0, 0), (1, 1)), RangeQuery((2, 2), (3, 3))], 2, 4
-        )
-        assert est.cost(sigma) == direct.cost(sigma)
 
     def test_merge_matches_whole(self):
         rng = np.random.default_rng(4)

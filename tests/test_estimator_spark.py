@@ -5,11 +5,7 @@ import pytest
 from repro.core.bmc import BMC
 from repro.core.cost_model import WorkloadCostEstimator
 from repro.core.query import RangeQuery
-from repro.sparkops.estimator import (
-    fit_estimator_distributed,
-    queries_to_spark,
-    spark_queries_to_list,
-)
+from repro.sparkops.estimator import fit_estimator_distributed, queries_to_spark
 
 
 def random_workload(n, d, ell, seed=0, max_edge=8):
@@ -24,14 +20,6 @@ def random_workload(n, d, ell, seed=0, max_edge=8):
 
 
 class TestRoundTrip:
-    def test_queries_to_spark_and_back(self, spark):
-        qs = random_workload(40, 2, 8, seed=1)
-        df = queries_to_spark(spark, qs, n_partitions=4)
-        back = spark_queries_to_list(df)
-        assert sorted(back, key=lambda q: (q.lo, q.hi)) == sorted(
-            qs, key=lambda q: (q.lo, q.hi)
-        )
-
     def test_empty_workload_rejected(self, spark):
         with pytest.raises(ValueError):
             queries_to_spark(spark, [])
