@@ -68,18 +68,6 @@ class RangeQuery:
         )
         return np.stack([g.ravel() for g in grids], axis=1)
 
-    def clip(self, lo: tuple[int, ...], hi: tuple[int, ...]) -> "RangeQuery | None":
-        """Intersect with the box ``[lo, hi]``; ``None`` if disjoint."""
-        nlo = tuple(max(a, c) for a, c in zip(self.lo, lo))
-        nhi = tuple(min(b, c) for b, c in zip(self.hi, hi))
-        if any(a > b for a, b in zip(nlo, nhi)):
-            return None
-        return RangeQuery(nlo, nhi)
-
-    def corners(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """The paper's ``p_s`` and ``p_e`` (Corollary 1)."""
-        return self.lo, self.hi
-
 
 class Workload:
     """``n`` range queries as two read-only (n, d) int64 arrays.

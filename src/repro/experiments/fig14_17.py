@@ -79,6 +79,17 @@ def block_accesses_by_technique(
     return out
 
 
+def _row(key: dict, points, ell, n_learn, n_test, delta, aspect, block_size, seed) -> dict:
+    """One figure row: ``key`` plus the block accesses of every technique
+    over fresh learning and test queries on ``points``."""
+    learn_q = data_following(points, n_learn, ell, delta, aspect, seed=seed + 1)
+    test_q = data_following(points, n_test, ell, delta, aspect, seed=seed + 2)
+    accesses = block_accesses_by_technique(
+        points, learn_q, test_q, ell, block_size=block_size, seed=seed
+    )
+    return {**key, **accesses}
+
+
 def overall(
     datasets=("OSM", "NYC", "UNI", "SKEW"),
     n_pts=100_000,
@@ -91,16 +102,13 @@ def overall(
     seed=0,
 ) -> list[dict]:
     """Figure 14: all datasets x all techniques."""
-    rows = []
-    for name in datasets:
-        points = make_dataset(name, n_pts, ell, seed)
-        learn_q = data_following(points, n_learn, ell, delta, aspect, seed=seed + 1)
-        test_q = data_following(points, n_test, ell, delta, aspect, seed=seed + 2)
-        accesses = block_accesses_by_technique(
-            points, learn_q, test_q, ell, block_size=block_size, seed=seed
+    return [
+        _row(
+            {"dataset": name}, make_dataset(name, n_pts, ell, seed),
+            ell, n_learn, n_test, delta, aspect, block_size, seed,
         )
-        rows.append({"dataset": name, **accesses})
-    return rows
+        for name in datasets
+    ]
 
 
 def vary_cardinality(
@@ -115,16 +123,13 @@ def vary_cardinality(
     seed=0,
 ) -> list[dict]:
     """Figure 15: vary N on one dataset."""
-    rows = []
-    for n_pts in n_values:
-        points = make_dataset(dataset, n_pts, ell, seed)
-        learn_q = data_following(points, n_learn, ell, delta, aspect, seed=seed + 1)
-        test_q = data_following(points, n_test, ell, delta, aspect, seed=seed + 2)
-        accesses = block_accesses_by_technique(
-            points, learn_q, test_q, ell, block_size=block_size, seed=seed
+    return [
+        _row(
+            {"N": n_pts}, make_dataset(dataset, n_pts, ell, seed),
+            ell, n_learn, n_test, delta, aspect, block_size, seed,
         )
-        rows.append({"N": n_pts, **accesses})
-    return rows
+        for n_pts in n_values
+    ]
 
 
 def vary_aspect(
@@ -140,16 +145,13 @@ def vary_aspect(
 ) -> list[dict]:
     """Figure 16: vary the query aspect ratio."""
     points = make_dataset(dataset, n_pts, ell, seed)
-    rows = []
-    for aspect in aspects:
-        learn_q = data_following(points, n_learn, ell, delta, aspect, seed=seed + 1)
-        test_q = data_following(points, n_test, ell, delta, aspect, seed=seed + 2)
-        accesses = block_accesses_by_technique(
-            points, learn_q, test_q, ell, block_size=block_size, seed=seed
+    return [
+        _row(
+            {"aspect": f"{aspect:g}:1" if aspect >= 1 else f"1:{1 / aspect:g}"},
+            points, ell, n_learn, n_test, delta, aspect, block_size, seed,
         )
-        label = f"{aspect:g}:1" if aspect >= 1 else f"1:{1 / aspect:g}"
-        rows.append({"aspect": label, **accesses})
-    return rows
+        for aspect in aspects
+    ]
 
 
 def vary_edge_length(
@@ -165,12 +167,7 @@ def vary_edge_length(
 ) -> list[dict]:
     """Figure 17: vary the query edge length."""
     points = make_dataset(dataset, n_pts, ell, seed)
-    rows = []
-    for delta in deltas:
-        learn_q = data_following(points, n_learn, ell, delta, aspect, seed=seed + 1)
-        test_q = data_following(points, n_test, ell, delta, aspect, seed=seed + 2)
-        accesses = block_accesses_by_technique(
-            points, learn_q, test_q, ell, block_size=block_size, seed=seed
-        )
-        rows.append({"delta": delta, **accesses})
-    return rows
+    return [
+        _row({"delta": delta}, points, ell, n_learn, n_test, delta, aspect, block_size, seed)
+        for delta in deltas
+    ]

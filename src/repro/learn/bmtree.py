@@ -113,10 +113,9 @@ class BMTreeLite:
             if self.reward == "sp":
                 if len(sample) == 0:
                     return [0.0] * len(curves)
-                qs = list(queries)
                 return [
                     BlockStore(sample, s.values(sample), self.reward_block_size)
-                    .avg_block_accesses(qs)
+                    .avg_block_accesses(queries)
                     for s in curves
                 ]
             if self.reward == "gc":

@@ -16,11 +16,24 @@ holding 2-D points with a rowid (3 * 8 bytes + tuple overhead ~40 B).
 """
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
-from repro.core.query import RangeQuery
+from repro.core.query import RangeQuery, Workload, as_workload
 
 DEFAULT_BLOCK_SIZE = 204
+#: Bound on the entries of one block of queries' membership mask
+#: (queries * padded points), which sets how many queries share a pass.
+_MASK_ENTRIES = 1 << 22
+
+
+class Accesses(NamedTuple):
+    """Per-query counts of a workload over a store, as int64 arrays."""
+
+    rows: np.ndarray  # matching points
+    blocks: np.ndarray  # distinct blocks holding >= 1 matching point
+    fetched: np.ndarray  # points in those blocks (only the last block can be short)
 
 
 class BlockStore:
@@ -39,57 +52,72 @@ class BlockStore:
         if block_size < 1:
             raise ValueError("block size must be >= 1")
         order = np.argsort(vals, kind="stable")
-        self.points = pts[order]
+        # column-contiguous, so each dimension's comparison reads one run;
+        # gathering column by column is also ~3x faster than pts[order]
+        self.points = np.empty(pts.shape, pts.dtype, order="F")
+        for i in range(pts.shape[1]):
+            self.points[:, i] = pts[order, i]
         self.values = vals[order]
         self.block_size = block_size
         self.n_blocks = -(-len(pts) // block_size) if len(pts) else 0
-        # block id of each (sorted) point
-        self._block_of = np.arange(len(pts)) // block_size
 
-    def query(self, q: RangeQuery) -> tuple[int, int]:
-        """Execute a range query; returns (result count, blocks accessed).
+    def accesses(self, queries: Workload | list[RangeQuery]) -> Accesses:
+        """Execute every query of a workload; per-query rows, blocks, fetched.
 
         Blocks accessed = distinct blocks holding >= 1 matching point —
         the B+-tree fetches each such block exactly once regardless of
         how many query sections land in it."""
-        if q.d != self.points.shape[1]:
+        wl = as_workload(queries)
+        n, d = self.points.shape
+        if wl.d != d:
             raise ValueError("query dimensionality mismatch")
-        mask = np.ones(len(self.points), dtype=bool)
-        for i in range(q.d):
-            col = self.points[:, i]
-            mask &= (col >= q.lo[i]) & (col <= q.hi[i])
-        n = int(mask.sum())
-        if n == 0:
-            return 0, 0
-        blocks = int(np.unique(self._block_of[mask]).size)
-        return n, blocks
+        lo, hi = wl.lo, wl.hi
+        if self.points.dtype.kind == "u":
+            # exact (a Workload has lo >= 0), and uint64 comparisons run
+            # ~1.7x faster than numpy's mixed int64/uint64 ones
+            lo, hi = lo.astype(np.uint64), hi.astype(np.uint64)
+        B, nb = self.block_size, self.n_blocks
+        rows = np.zeros(len(wl), dtype=np.int64)
+        blocks = np.zeros(len(wl), dtype=np.int64)
+        last = np.zeros(len(wl), dtype=bool)
+        step = max(1, _MASK_ENTRIES // max(1, nb * B))
+        for s in range(0, len(wl), step):
+            e = min(s + step, len(wl))
+            # padded to whole blocks; the pad never matches
+            mask = np.zeros((e - s, nb * B), dtype=bool)
+            m = mask[:, :n]
+            m[:] = True
+            for i in range(d):
+                col = self.points[:, i]
+                m &= (col >= lo[s:e, i, None]) & (col <= hi[s:e, i, None])
+            touched = mask.reshape(e - s, nb, B).any(axis=-1)
+            # per row: count_nonzero along an axis is several times slower
+            rows[s:e] = [np.count_nonzero(r) for r in m]
+            blocks[s:e] = touched.sum(axis=-1)
+            if nb:
+                last[s:e] = touched[:, -1]
+        return Accesses(rows, blocks, blocks * B - last * (nb * B - n))
 
-    def avg_block_accesses(self, queries: list[RangeQuery]) -> float:
+    def query(self, q: RangeQuery) -> tuple[int, int]:
+        """Execute a range query; returns (result count, blocks accessed)."""
+        acc = self.accesses([q])
+        return int(acc.rows[0]), int(acc.blocks[0])
+
+    def avg_block_accesses(self, queries: Workload | list[RangeQuery]) -> float:
         """Average blocks accessed per query — the paper's core metric."""
-        if not queries:
+        if not len(queries):
             raise ValueError("empty workload")
-        return float(np.mean([self.query(q)[1] for q in queries]))
+        return float(np.mean(self.accesses(queries).blocks))
 
     def precision(self, q: RangeQuery) -> float:
         """Fraction of fetched tuples that match (§4.2 Intuition).
 
         ``V(q) / (blocks * B)`` in the paper's notation, with the actual
         last-block occupancy accounted for."""
-        n, blocks = self.query(q)
-        if blocks == 0:
+        acc = self.accesses([q])
+        if acc.blocks[0] == 0:
             return 1.0
-        fetched = 0
-        for b in np.unique(self._block_of[self._match_mask(q)]):
-            start = b * self.block_size
-            fetched += min(self.block_size, len(self.points) - start)
-        return n / fetched
-
-    def _match_mask(self, q: RangeQuery) -> np.ndarray:
-        mask = np.ones(len(self.points), dtype=bool)
-        for i in range(q.d):
-            col = self.points[:, i]
-            mask &= (col >= q.lo[i]) & (col <= q.hi[i])
-        return mask
+        return int(acc.rows[0]) / int(acc.fetched[0])
 
 
 def order_by_curve(points: np.ndarray, value_fn) -> BlockStore:

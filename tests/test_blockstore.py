@@ -1,9 +1,15 @@
 """Tests for the curve-ordered block storage substrate (§4.2 intuition)."""
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from repro.core.bmc import BMC
-from repro.core.query import RangeQuery
+from repro.core.query import RangeQuery, Workload
+from repro.storage import blockstore
 from repro.storage.blockstore import BlockStore, order_by_curve
 
 
@@ -71,6 +77,13 @@ class TestQuery:
         b_bad = order_by_curve(pts, y_low.values).query(q)[1]
         assert b_good < b_bad
 
+    def test_coordinates_past_2_53_compare_exactly(self):
+        # uint64 coordinates one apart above 2^53 are equal as float64
+        top = 1 << 60
+        pts = np.array([[top], [top + 1]], dtype=np.uint64)
+        store = BlockStore(pts, np.arange(2), block_size=1)
+        assert store.query(RangeQuery((top + 1,), (top + 1,))) == (1, 1)
+
     def test_avg_block_accesses(self):
         pts = grid_points(3)
         sigma = BMC.zc(2, 3)
@@ -108,3 +121,61 @@ class TestPrecision:
     def test_empty_query_precision(self):
         store = BlockStore(np.zeros((4, 2), dtype=np.uint64), np.arange(4), 2)
         assert store.precision(RangeQuery((9, 9), (9, 9))) == 1.0
+
+
+@st.composite
+def stores(draw):
+    """Points, tied curve values, a block size up to and past N, and
+    queries that match nothing, everything, or the origin."""
+    d = draw(st.integers(1, 4))
+    n = draw(st.integers(0, 300))
+    top = draw(st.sampled_from([1, 7, 63]))
+    dtype = draw(st.sampled_from([np.uint64, np.int64]))
+    pts = draw(arrays(dtype, (n, d), elements=st.integers(0, top)))
+    vals = draw(arrays(np.uint64, n, elements=st.integers(0, 9)))
+    block_size = draw(st.integers(1, n + 8))
+    corner = st.lists(st.integers(0, top + 2), min_size=d, max_size=d)
+    drawn = [
+        RangeQuery(tuple(map(min, a, b)), tuple(map(max, a, b)))
+        for a, b in draw(st.lists(st.tuples(corner, corner), max_size=8))
+    ]
+    fixed = [
+        RangeQuery((0,) * d, (top,) * d),  # everything
+        RangeQuery((top + 1,) * d, (top + 2,) * d),  # nothing
+        RangeQuery((0,) * d, (0,) * d),  # the origin
+    ]
+    return pts, vals, block_size, fixed + drawn
+
+
+def brute_force(pts, vals, block_size, q):
+    """(rows, blocks, fetched) of ``q`` from the stably sorted positions."""
+    order = sorted(range(len(vals)), key=lambda i: int(vals[i]))
+    hits = [pos for pos, i in enumerate(order) if q.contains(pts[i].tolist())]
+    blocks = {pos // block_size for pos in hits}
+    fetched = sum(min(block_size, len(vals) - b * block_size) for b in blocks)
+    return len(hits), len(blocks), fetched
+
+
+class TestAgainstBruteForce:
+    @settings(max_examples=150, deadline=None)
+    @given(stores(), st.integers(1, 2000))
+    def test_accesses_query_avg_precision(self, case, mask_entries):
+        pts, vals, block_size, queries = case
+        store = BlockStore(pts, vals, block_size)
+        ref = [brute_force(pts, vals, block_size, q) for q in queries]
+        order = np.argsort(vals, kind="stable")
+        assert store.points.shape == pts.shape
+        assert np.array_equal(store.points, pts[order])
+        # a small mask bound splits the workload into several passes
+        with mock.patch.object(blockstore, "_MASK_ENTRIES", mask_entries):
+            acc = store.accesses(Workload([q.lo for q in queries], [q.hi for q in queries]))
+        assert acc.rows.dtype == acc.blocks.dtype == np.int64
+        assert acc.rows.tolist() == [r for r, _, _ in ref]
+        assert acc.blocks.tolist() == [b for _, b, _ in ref]
+        assert acc.fetched.tolist() == [f for _, _, f in ref]
+        for q, (rows, blocks, fetched) in zip(queries, ref):
+            got = store.query(q)
+            assert got == (rows, blocks)
+            assert all(type(x) is int for x in got)
+            assert store.precision(q) == (rows / fetched if blocks else 1.0)
+        assert store.avg_block_accesses(queries) == np.mean([b for _, b, _ in ref])

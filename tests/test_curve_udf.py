@@ -1,12 +1,10 @@
 """Spark tests: Arrow curve-value UDFs match the numpy reference."""
 import numpy as np
 import pytest
-from pyspark.sql import functions as F
 
 from repro.core.bmc import BMC
 from repro.core.hilbert import hilbert_values
 from repro.sparkops.curve_udf import with_curve_value, with_hilbert_value
-from repro.synth_data import spatial_points
 from repro.workloads.datasets import to_spark, uni
 
 
@@ -45,11 +43,3 @@ class TestHilbertUdf:
         expected = hilbert_values(ref_pts, 8).astype(np.int64)
         assert np.array_equal(out["curve_value"].to_numpy(), expected)
 
-
-class TestSpatialPoints:
-    def test_synth_data_extension(self, spark):
-        df = spatial_points(spark, name="SKEW", n=500, ell=8, seed=1)
-        assert df.columns == ["x", "y"]
-        row = df.agg(F.max("x").alias("mx"), F.min("x").alias("mn")).collect()[0]
-        assert 0 <= row.mn and row.mx < 256
-        assert df.count() == 500

@@ -10,6 +10,7 @@ import ast
 import importlib
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 LAYERS = Path(__file__).resolve().parents[1] / "curvebench" / "layers.py"
@@ -48,3 +49,22 @@ def test_probe_target_resolves(module, attr):
     for part in attr.split("."):
         owner = getattr(owner, part)
     assert callable(owner)
+
+
+def test_block_store_surface_the_benchmark_reads():
+    """``curvebench/local.py`` builds the store positionally, runs
+    ``query(RangeQuery)`` and re-counts the stored rows from
+    ``.points[:, i]`` and ``.block_size``."""
+    from repro.core.query import RangeQuery
+    from repro.storage.blockstore import BlockStore
+
+    points = np.array([[5, 1], [0, 0], [3, 7], [2, 2], [6, 6]], dtype=np.uint64)
+    values = np.array([40, 10, 30, 20, 10], dtype=np.uint64)
+    store = BlockStore(points, values)
+    got = store.query(RangeQuery((0, 0), (5, 2)))
+    assert type(got) is tuple and len(got) == 2
+    assert all(type(x) is int for x in got) and got[0] == 3
+    assert store.block_size >= 1
+    assert store.points.shape == (5, 2)
+    assert store.points[:, 0].tolist() == [0, 6, 2, 3, 5]
+    assert store.points[:, 1].tolist() == [0, 6, 2, 7, 1]

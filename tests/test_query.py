@@ -38,21 +38,6 @@ class TestBasics:
         assert len(q.cells_array()) == q.n_cells
 
 
-class TestClip:
-    def test_clip_overlap(self):
-        q = RangeQuery((0, 0), (7, 7))
-        c = q.clip((4, 2), (10, 5))
-        assert c == RangeQuery((4, 2), (7, 5))
-
-    def test_clip_disjoint(self):
-        q = RangeQuery((0, 0), (3, 3))
-        assert q.clip((5, 5), (9, 9)) is None
-
-    def test_clip_contained(self):
-        q = RangeQuery((2, 2), (3, 3))
-        assert q.clip((0, 0), (7, 7)) == q
-
-
 class TestArrays:
     def test_roundtrip(self):
         qs = [RangeQuery((0, 1), (2, 3)), RangeQuery((4, 4), (5, 6))]
