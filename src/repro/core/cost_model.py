@@ -9,8 +9,8 @@ BMTree GC/LC reward variants) and to the Spark layout chooser.
 from __future__ import annotations
 
 from .bmc import BMC
-from .global_cost import GlobalCostEstimator, global_cost_single, naive_global_cost
-from .local_cost import PatternTables, naive_local_cost, sections_via_patterns
+from .global_cost import GlobalCostEstimator, naive_global_cost
+from .local_cost import PatternTables, naive_local_cost
 from .query import RangeQuery, Workload, as_workload
 
 
@@ -58,9 +58,3 @@ class WorkloadCostEstimator:
 def naive_cost(sigma: BMC, queries: Workload | list[RangeQuery]) -> int:
     """Baseline combined cost: NGC * NLC, no precomputation."""
     return naive_global_cost(sigma, queries) * naive_local_cost(sigma, queries)
-
-
-def per_query_cost(sigma: BMC, q: RangeQuery) -> int:
-    """Eq. 4 for a single query using the O(1) per-query paths."""
-    return global_cost_single(sigma, q) * sections_via_patterns(sigma, q)
-

@@ -14,6 +14,9 @@ baseline that re-evaluates Eq. 5 query by query for every BMC.
 """
 from __future__ import annotations
 
+import operator
+from functools import lru_cache
+
 import numpy as np
 
 from .bmc import BMC
@@ -38,6 +41,13 @@ def naive_global_cost(sigma: BMC, queries: Workload | list[RangeQuery]) -> int:
                 c += (a_e - a_s) << sigma.gamma[j][k]
         total += c
     return total
+
+
+@lru_cache(maxsize=4096)
+def _ranks(slots: tuple[int, ...]) -> tuple[int, ...]:
+    """``gamma`` flattened dimension-major, the order of ``A.ravel()``
+    (cached on the slot tuple)."""
+    return tuple(r for ranks in BMC(slots).gamma for r in ranks)
 
 
 class GlobalCostEstimator:
@@ -69,11 +79,8 @@ class GlobalCostEstimator:
         """O(d * ell) per BMC — the paper's "GC"."""
         if sigma.d != self.d or sigma.ell != self.ell:
             raise ValueError("BMC shape does not match the fitted workload")
-        total = self.n
-        for j in range(self.d):
-            for k in range(self.ell):
-                total += int(self.A[j][k]) << sigma.gamma[j][k]
-        return total
+        coef = self.A.ravel().tolist()
+        return self.n + sum(map(operator.lshift, coef, _ranks(sigma.slots)))
 
     @staticmethod
     def merge(parts: list["GlobalCostEstimator"]) -> "GlobalCostEstimator":

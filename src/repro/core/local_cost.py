@@ -21,6 +21,7 @@ Three computation paths are provided, mirroring the experiments:
 from __future__ import annotations
 
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -59,13 +60,23 @@ def naive_local_cost(sigma: BMC, queries: Workload | list[RangeQuery]) -> int:
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=4096)
-def _drop_profile(slots: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], ...], ...]:
-    """For each (rise dim b, rise level k): how many low bits of every
-    *other* dimension sit below the rise bit in the BMC.
+class DropProfile(NamedTuple):
+    """A curve's get_col profile and where Algorithm 2 reads the tables."""
 
-    ``profile[b][k-1]`` is the tuple ``(c_i for i != b, ascending i)``
-    used to look up the matching drop patterns — the paper's ``get_col``.
+    #: ``cols[b][k-1]``: the drop levels ``(c_i for i != b, ascending i)``
+    #: matching the rise of dimension ``b`` at level ``k``
+    cols: tuple[tuple[tuple[int, ...], ...], ...]
+    #: the ``d * ell`` flat positions of ``(b, k-1, *cols[b][k-1])`` in
+    #: :attr:`PatternTables.table`
+    flat: np.ndarray
+
+
+@lru_cache(maxsize=4096)
+def _drop_profile(slots: tuple[int, ...]) -> DropProfile:
+    """For each (rise dim b, rise level k): how many low bits of every
+    *other* dimension sit below the rise bit in the BMC — the paper's
+    ``get_col``.
+
     BMC dependent, O(d^2 * ell) once per curve (cached on the slot
     tuple)."""
     sigma = BMC(slots)
@@ -75,19 +86,21 @@ def _drop_profile(slots: tuple[int, ...]) -> tuple[tuple[tuple[int, ...], ...], 
     for r, dim in enumerate(slots):
         below[r + 1] = below[r]
         below[r + 1][dim] += 1
-    profile = []
-    for b in range(d):
-        per_k = []
-        for k in range(1, ell + 1):
-            r = sigma.gamma[b][k - 1]
-            per_k.append(tuple(int(below[r][i]) for i in range(d) if i != b))
-        profile.append(tuple(per_k))
-    return tuple(profile)
+    cols = tuple(
+        tuple(
+            tuple(int(below[sigma.gamma[b][k - 1]][i]) for i in range(d) if i != b)
+            for k in range(1, ell + 1)
+        )
+        for b in range(d)
+    )
+    index = [(b, k - 1, *cols[b][k - 1]) for b in range(d) for k in range(1, ell + 1)]
+    flat = np.ravel_multi_index(np.array(index).T, _table_shape(d, ell))
+    return DropProfile(cols, flat)
 
 
 def drop_profile(sigma: BMC):
     """Public accessor for the cached get_col profile of ``sigma``."""
-    return _drop_profile(sigma.slots)
+    return _drop_profile(sigma.slots).cols
 
 
 def count_edges_single(sigma: BMC, q: RangeQuery) -> int:
@@ -130,6 +143,11 @@ EXACT_FLOAT_CELLS = 1 << 53
 _BLOCK_ENTRIES = 1 << 22
 
 
+def _table_shape(d: int, ell: int) -> tuple[int, ...]:
+    """Shape of the stacked tables: ``(b, k-1, c_1, ..., c_{d-1})``."""
+    return (d, ell) + (ell + 1,) * (d - 1)
+
+
 def total_cells(lo: np.ndarray, hi: np.ndarray) -> int:
     """``sum_q V(q)`` as an exact Python int.
 
@@ -160,7 +178,8 @@ class PatternTables:
     """BMC-independent pattern tables for a workload (Definition 7).
 
     One dense table per dimension ``b`` with shape
-    ``(ell, ell+1, ..., ell+1)`` — axis 0 is the rise level ``k`` and the
+    ``(ell, ell+1, ..., ell+1)``, stacked along a leading ``b`` axis in
+    :attr:`table` — axis 0 of each is the rise level ``k`` and the
     ``d-1`` trailing axes are the per-other-dimension drop levels
     ``c_i`` (ascending dimension index, ``b`` skipped).  Entry
     ``[k-1, c_1, ..., c_{d-1}]`` holds
@@ -172,7 +191,8 @@ class PatternTables:
     :data:`EXACT_FLOAT_CELLS`; Python ints above it.
 
     After this O(n) initialization ("ILC"), :meth:`local_cost` scores
-    any BMC in O(d * ell) table lookups (Algorithm 2, "LC").
+    any BMC by summing its ``d * ell`` cached table positions
+    (Algorithm 2, "LC").
     """
 
     def __init__(self, queries: Workload | list[RangeQuery], d: int, ell: int):
@@ -189,26 +209,25 @@ class PatternTables:
         fits_float = self.total_cells < EXACT_FLOAT_CELLS
         rises = [rise_matrix(lo[:, i], hi[:, i], ell) for i in range(d)]
         drops = [drop_matrix(lo[:, i], hi[:, i], ell) for i in range(d)]
-        self.tables: list[np.ndarray] = []
+        tables = []
         for b in range(d):
             others = [drops[i] for i in range(d) if i != b]
             if fits_float:
-                table = _pattern_table(rises[b], others, np.float64).astype(np.int64)
+                tables.append(_pattern_table(rises[b], others, np.float64).astype(np.int64))
             else:
-                table = _pattern_table(rises[b], others, object)
-            self.tables.append(table)
+                tables.append(_pattern_table(rises[b], others, object))
+        self.table = np.stack(tables)
+
+    @property
+    def tables(self) -> list[np.ndarray]:
+        """The per-dimension tables, as views of :attr:`table`."""
+        return list(self.table)
 
     def edges(self, sigma: BMC) -> int:
         """Algorithm 2's accumulation: total directed edges over Q."""
         if sigma.d != self.d or sigma.ell != self.ell:
             raise ValueError("BMC shape does not match the fitted workload")
-        profile = drop_profile(sigma)
-        total = 0
-        for b in range(self.d):
-            table = self.tables[b]
-            for k in range(1, self.ell + 1):
-                total += int(table[(k - 1, *profile[b][k - 1])])
-        return total
+        return sum(self.table.take(_drop_profile(sigma.slots).flat).tolist())
 
     def local_cost(self, sigma: BMC) -> int:
         """Total workload local cost ``V - E_sigma`` (Algorithm 2)."""
@@ -229,10 +248,9 @@ class PatternTables:
         out.total_cells = sum(p.total_cells for p in parts)
         # the merged entries are bounded by the merged total_cells
         dtype = np.int64 if out.total_cells < EXACT_FLOAT_CELLS else object
-        out.tables = [np.zeros(t.shape, dtype=dtype) for t in first.tables]
+        out.table = np.zeros(first.table.shape, dtype=dtype)
         for p in parts:
             if (p.d, p.ell) != (first.d, first.ell):
                 raise ValueError("mismatched table shapes")
-            for acc, t in zip(out.tables, p.tables):
-                acc += t.astype(dtype)
+            out.table += p.table.astype(dtype)
         return out

@@ -47,10 +47,6 @@ class RangeQuery:
             v *= b - a + 1
         return v
 
-    def extent(self, dim: int) -> int:
-        """Inclusive side length along ``dim``."""
-        return self.hi[dim] - self.lo[dim] + 1
-
     def contains(self, point) -> bool:
         return all(a <= x <= b for a, x, b in zip(self.lo, point, self.hi))
 

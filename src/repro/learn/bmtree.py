@@ -102,7 +102,10 @@ class BMTreeLite:
         self.sample_rate = sample_rate
         self.reward_block_size = reward_block_size
         self.seed = seed
-        self.leaves: list[_Leaf] = []
+        self.leaves: list[_Leaf] = []  # in curve order
+        # the bit each internal node splits on, as ``dim * ell + bit``, by
+        # heap index: node i's lower and upper halves are nodes 2i and 2i + 1
+        self._splits = np.zeros(0, dtype=np.uint64)
         self.stats = BMTreeStats()
 
     # -- reward functions --------------------------------------------------
@@ -145,6 +148,7 @@ class BMTreeLite:
             sample = pts[:0]
         self.stats.sample_size = len(sample)
         self.leaves = []
+        self._splits = np.zeros(1 << self.h, dtype=np.uint64)
         top = (1 << self.ell) - 1
         self._build(
             lo=(0,) * self.d,
@@ -152,16 +156,18 @@ class BMTreeLite:
             prefix=[],
             queries=as_workload(queries),
             sample=sample,
+            node=1,
         )
-        self.leaves.sort(key=lambda leaf: leaf.lo)
         self.stats.fit_seconds = time.perf_counter() - t0
         self.stats.n_leaves = len(self.leaves)
         return self
 
-    def _build(self, lo, hi, prefix, queries: Workload, sample) -> None:
+    def _build(self, lo, hi, prefix, queries: Workload, sample, node: int) -> None:
         depth = len(prefix)
         used = [prefix.count(i) for i in range(self.d)]
         candidates = [i for i in range(self.d) if used[i] < self.ell]
+        # h <= d * ell, so every leaf sits at depth h, and the depth-first
+        # order (lower half first) appends them in curve order
         if depth >= self.h or not candidates:
             self.leaves.append(_Leaf(lo, hi, _fill_curve(prefix, self.d, self.ell)))
             return
@@ -180,14 +186,15 @@ class BMTreeLite:
         self.stats.choices.append(best)
         # split on the most significant unused bit of `best`
         bit = self.ell - 1 - used[best]
+        self._splits[node] = best * self.ell + bit
         mid = lo[best] + (1 << bit)  # first cell of the upper half
         lo_hi = list(hi)
         lo_hi[best] = mid - 1
         hi_lo = list(lo)
         hi_lo[best] = mid
-        in_upper = sample[:, best] >= mid if len(sample) else sample
-        self._build(lo, tuple(lo_hi), prefix + [best], local_q, sample[~in_upper] if len(sample) else sample)
-        self._build(tuple(hi_lo), hi, prefix + [best], local_q, sample[in_upper] if len(sample) else sample)
+        in_upper = sample[:, best] >= mid
+        self._build(lo, tuple(lo_hi), prefix + [best], local_q, sample[~in_upper], 2 * node)
+        self._build(tuple(hi_lo), hi, prefix + [best], local_q, sample[in_upper], 2 * node + 1)
 
     # -- application -------------------------------------------------------
     def values(self, points: np.ndarray) -> np.ndarray:
@@ -199,15 +206,25 @@ class BMTreeLite:
         if not self.leaves:
             raise RuntimeError("fit() first")
         pts = np.asarray(points, dtype=np.uint64)
-        out = np.zeros(len(pts), dtype=np.uint64)
-        assigned = np.zeros(len(pts), dtype=bool)
-        for leaf in self.leaves:
-            mask = ~assigned
-            for i in range(self.d):
-                mask &= (pts[:, i] >= leaf.lo[i]) & (pts[:, i] <= leaf.hi[i])
-            if mask.any():
-                out[mask] = leaf.sigma.values(pts[mask])
-                assigned |= mask
-        if not assigned.all():
+        if np.any(pts >= np.uint64(1 << self.ell)):
             raise ValueError("points outside the grid domain")
+        # route every point down the tree by the bits its path splits on,
+        # read from the point's coordinates laid side by side in one word
+        word = np.zeros(len(pts), dtype=np.uint64)
+        for i in range(self.d):
+            word |= pts[:, i] << np.uint64(i * self.ell)
+        one = np.uint64(1)
+        node = np.ones(len(pts), dtype=np.uint64)
+        for _ in range(self.h):
+            node = (node << one) | ((word >> self._splits[node]) & one)
+        # leaf numbers in curve order; 8- and 16-bit keys sort by radix
+        leaf = (node - np.uint64(1 << self.h)).astype(np.min_scalar_type(len(self.leaves) - 1))
+        # then evaluate each leaf's BMC on its own points
+        order = np.argsort(leaf, kind="stable")
+        counts = np.bincount(leaf, minlength=len(self.leaves))
+        ends = np.cumsum(counts)
+        out = np.empty(len(pts), dtype=np.uint64)
+        for lf, s, e in zip(self.leaves, ends - counts, ends):
+            idx = order[s:e]
+            out[idx] = lf.sigma.values(pts[idx])
         return out

@@ -10,7 +10,7 @@ from hypothesis.extra.numpy import arrays
 from repro.core.bmc import BMC
 from repro.core.query import RangeQuery, Workload
 from repro.storage import blockstore
-from repro.storage.blockstore import BlockStore, order_by_curve
+from repro.storage.blockstore import BlockStore
 
 
 def grid_points(ell):
@@ -48,7 +48,7 @@ class TestQuery:
         rng = np.random.default_rng(0)
         pts = rng.integers(0, 64, size=(500, 2)).astype(np.uint64)
         sigma = BMC.zc(2, 6)
-        store = order_by_curve(pts, sigma.values)
+        store = BlockStore(pts, sigma.values(pts))
         q = RangeQuery((10, 10), (30, 25))
         n, blocks = store.query(q)
         expected = sum(1 for p in pts if q.contains(p))
@@ -73,8 +73,8 @@ class TestQuery:
         q = RangeQuery((0, 5), (15, 5))  # one full row
         x_low = BMC.from_string("YYYYYYYYXXXXXXXX")  # row-contiguous
         y_low = BMC.from_string("XXXXXXXXYYYYYYYY")
-        b_good = order_by_curve(pts, x_low.values).query(q)[1]
-        b_bad = order_by_curve(pts, y_low.values).query(q)[1]
+        b_good = BlockStore(pts, x_low.values(pts)).query(q)[1]
+        b_bad = BlockStore(pts, y_low.values(pts)).query(q)[1]
         assert b_good < b_bad
 
     def test_coordinates_past_2_53_compare_exactly(self):
@@ -87,13 +87,14 @@ class TestQuery:
     def test_avg_block_accesses(self):
         pts = grid_points(3)
         sigma = BMC.zc(2, 3)
-        store = order_by_curve(pts, sigma.values)
+        store = BlockStore(pts, sigma.values(pts))
         qs = [RangeQuery((0, 0), (1, 1)), RangeQuery((4, 4), (7, 7))]
         avg = store.avg_block_accesses(qs)
         assert avg == (store.query(qs[0])[1] + store.query(qs[1])[1]) / 2
 
     def test_avg_empty_workload_rejected(self):
-        store = order_by_curve(grid_points(2), BMC.zc(2, 2).values)
+        pts = grid_points(2)
+        store = BlockStore(pts, BMC.zc(2, 2).values(pts))
         with pytest.raises(ValueError):
             store.avg_block_accesses([])
 
@@ -125,57 +126,77 @@ class TestPrecision:
 
 @st.composite
 def stores(draw):
-    """Points, tied curve values, a block size up to and past N, and
-    queries that match nothing, everything, or the origin."""
+    """Points, tied curve values, a block size up to and past N, queries
+    that match nothing (and miss every block's box), everything, or the
+    origin, and a mask bound that lets anywhere from one query to all of
+    them share a pass of ``accesses``.
+
+    Values are either random, so every block's box spans about the whole
+    domain and nothing is pruned, or one coordinate, so boxes are tight
+    along it."""
     d = draw(st.integers(1, 4))
     n = draw(st.integers(0, 300))
     top = draw(st.sampled_from([1, 7, 63]))
     dtype = draw(st.sampled_from([np.uint64, np.int64]))
     pts = draw(arrays(dtype, (n, d), elements=st.integers(0, top)))
-    vals = draw(arrays(np.uint64, n, elements=st.integers(0, 9)))
+    by = draw(st.sampled_from([None, *range(d)]))
+    if by is None:
+        vals = draw(arrays(np.uint64, n, elements=st.integers(0, 9)))
+    else:
+        vals = pts[:, by].astype(np.uint64)
     block_size = draw(st.integers(1, n + 8))
+    n_blocks = -(-n // block_size)
+    mask_entries = draw(st.integers(1, 12 * max(1, n_blocks * block_size)))
     corner = st.lists(st.integers(0, top + 2), min_size=d, max_size=d)
     drawn = [
         RangeQuery(tuple(map(min, a, b)), tuple(map(max, a, b)))
         for a, b in draw(st.lists(st.tuples(corner, corner), max_size=8))
     ]
     fixed = [
-        RangeQuery((0,) * d, (top,) * d),  # everything
         RangeQuery((top + 1,) * d, (top + 2,) * d),  # nothing
+        RangeQuery((0,) * d, (top,) * d),  # everything
         RangeQuery((0,) * d, (0,) * d),  # the origin
     ]
-    return pts, vals, block_size, fixed + drawn
+    return pts, vals, block_size, mask_entries, fixed + drawn
 
 
 def brute_force(pts, vals, block_size, q):
-    """(rows, blocks, fetched) of ``q`` from the stably sorted positions."""
+    """(rows, blocks, fetched, examined) of ``q`` from the stably sorted
+    positions; examined counts the blocks whose bounding box meets ``q``."""
     order = sorted(range(len(vals)), key=lambda i: int(vals[i]))
     hits = [pos for pos, i in enumerate(order) if q.contains(pts[i].tolist())]
     blocks = {pos // block_size for pos in hits}
     fetched = sum(min(block_size, len(vals) - b * block_size) for b in blocks)
-    return len(hits), len(blocks), fetched
+    examined = 0
+    for s in range(0, len(order), block_size):
+        members = pts[order[s : s + block_size]]
+        box_lo, box_hi = members.min(axis=0).tolist(), members.max(axis=0).tolist()
+        examined += all(a <= y and x <= b for a, b, x, y in zip(q.lo, q.hi, box_lo, box_hi))
+    return len(hits), len(blocks), fetched, examined
 
 
 class TestAgainstBruteForce:
-    @settings(max_examples=150, deadline=None)
-    @given(stores(), st.integers(1, 2000))
-    def test_accesses_query_avg_precision(self, case, mask_entries):
-        pts, vals, block_size, queries = case
+    @settings(max_examples=200, deadline=None)
+    @given(stores())
+    def test_accesses_query_avg_precision(self, case):
+        pts, vals, block_size, mask_entries, queries = case
         store = BlockStore(pts, vals, block_size)
         ref = [brute_force(pts, vals, block_size, q) for q in queries]
         order = np.argsort(vals, kind="stable")
         assert store.points.shape == pts.shape
         assert np.array_equal(store.points, pts[order])
-        # a small mask bound splits the workload into several passes
         with mock.patch.object(blockstore, "_MASK_ENTRIES", mask_entries):
             acc = store.accesses(Workload([q.lo for q in queries], [q.hi for q in queries]))
-        assert acc.rows.dtype == acc.blocks.dtype == np.int64
-        assert acc.rows.tolist() == [r for r, _, _ in ref]
-        assert acc.blocks.tolist() == [b for _, b, _ in ref]
-        assert acc.fetched.tolist() == [f for _, _, f in ref]
-        for q, (rows, blocks, fetched) in zip(queries, ref):
+        assert acc.rows.dtype == acc.blocks.dtype == acc.examined.dtype == np.int64
+        assert acc.rows.tolist() == [r for r, _, _, _ in ref]
+        assert acc.blocks.tolist() == [b for _, b, _, _ in ref]
+        assert acc.fetched.tolist() == [f for _, _, f, _ in ref]
+        assert acc.examined.tolist() == [e for _, _, _, e in ref]
+        assert np.all(acc.blocks <= acc.examined) and np.all(acc.examined <= store.n_blocks)
+        assert acc.examined[0] == 0  # the query past every point misses every box
+        for q, (rows, blocks, fetched, _) in zip(queries, ref):
             got = store.query(q)
             assert got == (rows, blocks)
             assert all(type(x) is int for x in got)
             assert store.precision(q) == (rows / fetched if blocks else 1.0)
-        assert store.avg_block_accesses(queries) == np.mean([b for _, b, _ in ref])
+        assert store.avg_block_accesses(queries) == np.mean([b for _, b, _, _ in ref])

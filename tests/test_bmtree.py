@@ -5,7 +5,7 @@ import pytest
 from repro.core.bmc import BMC
 from repro.core.query import RangeQuery
 from repro.learn.bmtree import BMTreeLite, _fill_curve
-from repro.storage.blockstore import order_by_curve
+from repro.storage.blockstore import BlockStore
 from repro.workloads.datasets import osm_like, uni
 from repro.workloads.queries import data_following
 
@@ -54,6 +54,24 @@ class TestConstruction:
         vals = tree.values(grid)
         assert len(set(vals.tolist())) == 64
         assert vals.max() == 63
+
+    @pytest.mark.parametrize(
+        "d,ell,h,reward", [(2, 5, 1, "gc"), (2, 6, 4, "sp"), (2, 5, 10, "lc"), (3, 4, 5, "gc")]
+    )
+    def test_values_match_the_leaf_holding_each_point(self, d, ell, h, reward):
+        # reference: find each point's leaf by its box, then its BMC's value
+        rng = np.random.default_rng(h)
+        pts = rng.integers(0, 1 << ell, size=(300, d)).astype(np.uint64)
+        lo = rng.integers(0, 1 << ell, size=(20, d))
+        hi = np.minimum(lo + 3, (1 << ell) - 1)
+        qs = [RangeQuery(tuple(a), tuple(b)) for a, b in zip(lo.tolist(), hi.tolist())]
+        tree = BMTreeLite(d, ell, h=h, reward=reward, sample_rate=0.2, seed=0).fit(pts, qs)
+        assert len(tree.leaves) == 2**h
+        expected = []
+        for p in pts.tolist():
+            (leaf,) = [lf for lf in tree.leaves if RangeQuery(lf.lo, lf.hi).contains(p)]
+            expected.append(leaf.sigma.value(p))
+        assert tree.values(pts).tolist() == expected
 
     def test_values_requires_fit(self):
         tree = BMTreeLite(2, 4, h=2)
@@ -110,8 +128,8 @@ class TestQueryQuality:
         ell = 8
         pts = osm_like(6000, ell, seed=3)
         qs = data_following(pts, 60, ell, delta=16, aspect=16.0, seed=4)
-        zc_store = order_by_curve(pts, BMC.zc(2, ell).values)
+        zc_store = BlockStore(pts, BMC.zc(2, ell).values(pts))
         zc_cost = zc_store.avg_block_accesses(qs)
         tree = BMTreeLite(2, ell, h=4, reward="lc", seed=0).fit(pts, qs)
-        tree_cost = order_by_curve(pts, tree.values).avg_block_accesses(qs)
+        tree_cost = BlockStore(pts, tree.values(pts)).avg_block_accesses(qs)
         assert tree_cost <= 1.5 * zc_cost

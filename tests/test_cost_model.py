@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from repro.core.bmc import BMC
-from repro.core.cost_model import WorkloadCostEstimator, naive_cost, per_query_cost
+from repro.core.cost_model import WorkloadCostEstimator, naive_cost
 from repro.core.query import RangeQuery
 
 
@@ -27,13 +27,6 @@ class TestCombinedCost:
             sigma = BMC(tuple(int(s) for s in rng.permutation(list(range(d)) * ell)))
             assert est.cost(sigma) == naive_cost(sigma, queries)
             assert est.cost(sigma) == est.global_cost(sigma) * est.local_cost(sigma)
-
-    def test_per_query_cost_product(self):
-        sigma = BMC.from_string("XYXYXY")
-        q = RangeQuery((0, 2), (4, 3))
-        # from the §4.2.1 example: 3 sections; Cg = F((4,3)) - F((0,2)) + 1
-        cg = sigma.value((4, 3)) - sigma.value((0, 2)) + 1
-        assert per_query_cost(sigma, q) == cg * 3
 
     def test_best_of_picks_minimum(self):
         rng = np.random.default_rng(1)

@@ -91,7 +91,7 @@ def test_global_cost_bounds(case):
     sigma, q = case
     cg = global_cost_single(sigma, q)
     assert cg >= 1
-    assert cg >= max(q.extent(i) for i in range(q.d))
+    assert cg >= max(q.hi[i] - q.lo[i] + 1 for i in range(q.d))
 
 
 @settings(max_examples=100, deadline=None)

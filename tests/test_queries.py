@@ -15,7 +15,7 @@ class TestRandomSquares:
         qs = random_squares(64, ell=10, delta=16, seed=0)
         assert len(qs) == 64
         for q in qs:
-            assert q.extent(0) == 16 and q.extent(1) == 16
+            assert q.hi[0] - q.lo[0] + 1 == 16 and q.hi[1] - q.lo[1] + 1 == 16
             assert q.hi[0] < 1 << 10 and q.hi[1] < 1 << 10
 
     def test_d3(self):
@@ -36,9 +36,9 @@ class TestDataFollowing:
         wide = data_following(pts, 32, 10, delta=16, aspect=16.0, seed=0)
         tall = data_following(pts, 32, 10, delta=16, aspect=1 / 16.0, seed=0)
         for q in wide:
-            assert q.extent(0) == 64 and q.extent(1) == 4
+            assert q.hi[0] - q.lo[0] + 1 == 64 and q.hi[1] - q.lo[1] + 1 == 4
         for q in tall:
-            assert q.extent(0) == 4 and q.extent(1) == 64
+            assert q.hi[0] - q.lo[0] + 1 == 4 and q.hi[1] - q.lo[1] + 1 == 64
 
     def test_queries_in_domain(self):
         pts = osm_like(5000, 8, 0)

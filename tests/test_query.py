@@ -10,10 +10,6 @@ class TestBasics:
         assert RangeQuery((0, 2), (4, 3)).n_cells == 10
         assert RangeQuery((1, 1, 1), (1, 1, 1)).n_cells == 1
 
-    def test_extent(self):
-        q = RangeQuery((0, 2), (4, 3))
-        assert q.extent(0) == 5 and q.extent(1) == 2
-
     def test_contains(self):
         q = RangeQuery((1, 1), (3, 3))
         assert q.contains((1, 3)) and q.contains((2, 2))
