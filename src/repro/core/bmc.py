@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import groupby
 
 import numpy as np
 
@@ -80,6 +81,21 @@ class BMC:
         for rank, dim in enumerate(self.slots):
             out[dim].append(rank)
         return tuple(tuple(ranks) for ranks in out)
+
+    @cached_property
+    def runs(self) -> tuple[tuple[int, int, int, int], ...]:
+        """Maximal runs of equal adjacent slots, least significant first,
+        as ``(i, j, r, k)``: ranks ``r .. r+k-1`` hold bits ``j .. j+k-1``
+        of dimension ``i``.  Within-dimension bit order is fixed, so Eq. 1
+        moves each run as one shift-and-mask: ZC has ``d * ell`` runs, a
+        lexicographic curve ``d``."""
+        out, used, r = [], [0] * self.d, 0
+        for i, group in groupby(self.slots):
+            k = len(list(group))
+            out.append((i, used[i], r, k))
+            used[i] += k
+            r += k
+        return tuple(out)
 
     # -- construction ------------------------------------------------------
     @staticmethod
@@ -153,16 +169,19 @@ class BMC:
         return v
 
     def values(self, points: np.ndarray) -> np.ndarray:
-        """Vectorized curve values for an (n, d) array of coordinates."""
+        """Vectorized curve values for an (n, d) array of coordinates, one
+        shift-and-mask per run (:attr:`runs`); :meth:`value` is the per-bit
+        reference."""
         pts = np.asarray(points)
         if pts.ndim != 2 or pts.shape[1] != self.d:
             raise ValueError(f"expected (n, {self.d}) array, got {pts.shape}")
-        pts = pts.astype(np.uint64, copy=False)
+        cols = np.ascontiguousarray(pts.T, dtype=np.uint64)  # a row per dimension
         out = np.zeros(len(pts), dtype=np.uint64)
-        for i in range(self.d):
-            col = pts[:, i]
-            for j, rank in enumerate(self.gamma[i]):
-                out |= ((col >> np.uint64(j)) & np.uint64(1)) << np.uint64(rank)
+        for i, j, r, k in self.runs:
+            term = cols[i] >> np.uint64(j)
+            term &= np.uint64((1 << k) - 1)
+            term <<= np.uint64(r)
+            out |= term
         return out
 
     def decode(self, value: int) -> tuple[int, ...]:
@@ -177,9 +196,11 @@ class BMC:
         """Vectorized inverse: (n,) curve values -> (n, d) coordinates."""
         vals = np.asarray(values, dtype=np.uint64)
         out = np.zeros((len(vals), self.d), dtype=np.uint64)
-        for i in range(self.d):
-            for j, rank in enumerate(self.gamma[i]):
-                out[:, i] |= ((vals >> np.uint64(rank)) & np.uint64(1)) << np.uint64(j)
+        for i, j, r, k in self.runs:
+            term = vals >> np.uint64(r)
+            term &= np.uint64((1 << k) - 1)
+            term <<= np.uint64(j)
+            out[:, i] |= term
         return out
 
     # -- misc ---------------------------------------------------------------

@@ -1,46 +1,33 @@
-"""Arrow-vectorized curve-value UDFs for Spark DataFrames.
+"""Curve values as native Spark Column expressions.
 
-``with_curve_value`` adds a ``curve_value`` column computed by a pandas
-UDF (Arrow batches, numpy bit-twiddling inside) from integer grid
-coordinates.  All BMCs fit in <= 63 bits so values are LongType and can
-be range-partitioned/sorted natively by Catalyst.
+``with_curve_value`` adds a ``curve_value`` column computed by Catalyst
+itself from integer grid coordinates: Eq. 1 moves each run of a BMC's
+equal adjacent slots (``BMC.runs``) as one shift-and-mask, so the value
+is an OR of ``shiftleft(shiftright(x_i, j) & (2^k - 1), r)`` terms.  No
+Python worker runs.  All BMCs fit in <= 63 bits, so every term and the
+value fit a signed long and can be range-partitioned and sorted natively.
 """
 from __future__ import annotations
 
-import numpy as np
-import pandas as pd
+from functools import reduce
+
 from pyspark.sql import Column, DataFrame
 from pyspark.sql import functions as F
-from pyspark.sql.types import LongType
 
 from repro.core.bmc import BMC
-from repro.core.hilbert import hilbert_values
 
 
 def bmc_value_column(sigma: BMC, cols: list[str]) -> Column:
     """A Column computing F_sigma over the given coordinate columns."""
     if len(cols) != sigma.d:
         raise ValueError(f"need {sigma.d} coordinate columns, got {len(cols)}")
-    slots = sigma.slots  # closure state shipped to executors
-
-    @F.pandas_udf(LongType())
-    def _bmc(*series: pd.Series) -> pd.Series:
-        sig = BMC(slots)
-        pts = np.stack([s.to_numpy(dtype=np.uint64) for s in series], axis=1)
-        return pd.Series(sig.values(pts).astype(np.int64))
-
-    return _bmc(*[F.col(c) for c in cols])
-
-
-def hilbert_value_column(ell: int, cols: list[str]) -> Column:
-    """A Column computing Hilbert values over the coordinate columns."""
-
-    @F.pandas_udf(LongType())
-    def _hc(*series: pd.Series) -> pd.Series:
-        pts = np.stack([s.to_numpy(dtype=np.uint64) for s in series], axis=1)
-        return pd.Series(hilbert_values(pts, ell).astype(np.int64))
-
-    return _hc(*[F.col(c) for c in cols])
+    # the cast keeps INT32 coordinates from overflowing at shifts past 31
+    coords = [F.col(c).cast("long") for c in cols]
+    terms = [
+        F.shiftleft(F.shiftright(coords[i], j).bitwiseAND(F.lit((1 << k) - 1)), r)
+        for i, j, r, k in sigma.runs
+    ]
+    return reduce(Column.bitwiseOR, terms)
 
 
 def with_curve_value(
@@ -48,10 +35,3 @@ def with_curve_value(
 ) -> DataFrame:
     """Append the BMC curve value of each row as column ``out``."""
     return df.withColumn(out, bmc_value_column(sigma, cols))
-
-
-def with_hilbert_value(
-    df: DataFrame, ell: int, cols: list[str], out: str = "curve_value"
-) -> DataFrame:
-    """Append the Hilbert curve value of each row as column ``out``."""
-    return df.withColumn(out, hilbert_value_column(ell, cols))

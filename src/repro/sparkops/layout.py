@@ -60,6 +60,13 @@ class SkippingStats:
     avg_rows_matched: float
 
 
+def _read_table(spark: SparkSession, path: str, cols: list[str]) -> DataFrame:
+    """The table's ``cols`` read under a declared BIGINT schema: without one
+    every read starts a schema-inference job over the Parquet footers.
+    INT32 columns widen to BIGINT on read."""
+    return spark.read.schema(", ".join(f"{c} BIGINT" for c in cols)).parquet(path)
+
+
 def file_skipping_stats(
     spark: SparkSession,
     path: str,
@@ -72,7 +79,7 @@ def file_skipping_stats(
     A file can be skipped iff its [min, max] curve-value range misses
     the query's [F(p_s), F(p_e)] span (Corollary 1) — the same pruning
     Parquet readers do with column statistics."""
-    df = spark.read.parquet(path)
+    df = _read_table(spark, path, [*cols, "curve_value"])
     ranges = (
         df.groupBy(F.input_file_name().alias("file"))
         .agg(F.min("curve_value").alias("lo"), F.max("curve_value").alias("hi"))
@@ -104,7 +111,7 @@ def run_range_query(
     spark: SparkSession, path: str, cols: list[str], q: RangeQuery
 ) -> DataFrame:
     """Execute a range query over the written table (Definition 1)."""
-    df = spark.read.parquet(path)
+    df = _read_table(spark, path, cols)
     for i, c in enumerate(cols):
         df = df.filter((F.col(c) >= int(q.lo[i])) & (F.col(c) <= int(q.hi[i])))
     return df.select(*cols)

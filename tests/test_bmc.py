@@ -1,6 +1,8 @@
 """Unit tests for BMC representation and curve-value calculation (§3.1)."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.bmc import BMC
 
@@ -166,3 +168,44 @@ class TestSwap:
                 assert swapped.d == 2 and swapped.ell == 4
                 # swapping back restores the original
                 assert swapped.swap(a) == sigma
+
+
+@st.composite
+def curves_and_points(draw):
+    """A random BMC with d = 1-4 and ell up to floor(63 / d) (so d * ell
+    reaches 63 at d = 1 and 3), and points drawn towards 0 and 2^ell - 1."""
+    d = draw(st.integers(1, 4))
+    ell = draw(st.one_of(st.just(63 // d), st.integers(1, 63 // d)))
+    sigma = BMC(tuple(draw(st.permutations(list(range(d)) * ell))))
+    top = (1 << ell) - 1
+    coord = st.one_of(st.just(0), st.just(top), st.integers(0, top))
+    pts = draw(st.lists(st.tuples(*[coord] * d), min_size=1, max_size=20))
+    return sigma, pts
+
+
+class TestRuns:
+    def test_runs_of_known_curves(self):
+        assert BMC.zc(2, 3).runs == ((1, 0, 0, 1), (0, 0, 1, 1), (1, 1, 2, 1),
+                                     (0, 1, 3, 1), (1, 2, 4, 1), (0, 2, 5, 1))
+        assert BMC.lex(3, 4).runs == ((2, 0, 0, 4), (1, 0, 4, 4), (0, 0, 8, 4))
+        assert BMC.from_string("XYYXXY").runs == ((1, 0, 0, 1), (0, 0, 1, 2),
+                                                  (1, 1, 3, 2), (0, 2, 5, 1))
+
+    @settings(max_examples=300, deadline=None)
+    @given(curves_and_points())
+    def test_runs_rebuild_slots(self, case):
+        sigma, _ = case
+        assert tuple(i for i, _, _, k in sigma.runs for _ in range(k)) == sigma.slots
+        for (i, j, r, k), nxt in zip(sigma.runs, sigma.runs[1:] + (None,)):
+            assert k >= 1 and sigma.gamma[i][j:j + k] == tuple(range(r, r + k))
+            assert nxt is None or (nxt[0] != i and nxt[2] == r + k)  # maximal
+
+    @settings(max_examples=300, deadline=None)
+    @given(curves_and_points())
+    def test_values_equal_eq1_and_decode_inverts(self, case):
+        sigma, pts = case
+        arr = np.array(pts, dtype=np.uint64)
+        vals = sigma.values(arr)
+        assert vals.dtype == np.uint64
+        assert [int(v) for v in vals] == [sigma.value(p) for p in pts]
+        assert np.array_equal(sigma.decode_values(vals), arr)

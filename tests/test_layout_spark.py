@@ -66,6 +66,34 @@ class TestWriteAndQuery:
             )
             assert_equivalent(got, sql, pts=pdf)
 
+    def test_range_query_is_one_job(self, spark, points, workload, tmp_path):
+        # the declared schema spares the schema-inference job of every read
+        path = str(tmp_path / "one_job")
+        write_curve_ordered(to_spark(spark, points), BMC.zc(2, ELL), ["x", "y"], path, n_files=4)
+        sc = spark.sparkContext
+        sc.setJobGroup("test-range-query", "one range query")
+        try:
+            run_range_query(spark, path, ["x", "y"], workload[0]).collect()
+        finally:
+            sc.setLocalProperty("spark.jobGroup.id", None)
+            sc.setLocalProperty("spark.job.description", None)
+        sc._jsc.sc().listenerBus().waitUntilEmpty()  # job starts reach the tracker
+        assert len(sc.statusTracker().getJobIdsForGroup("test-range-query")) == 1
+
+    def test_int32_table_matches_duckdb(self, spark, points, workload, tmp_path):
+        # INT32 coordinates widen to the BIGINT schema the query reads with
+        pdf = pd.DataFrame({"x": points[:, 0].astype("int32"), "y": points[:, 1].astype("int32")})
+        path = str(tmp_path / "int32_table")
+        write_curve_ordered(spark.createDataFrame(pdf), BMC.zc(2, ELL), ["x", "y"], path, n_files=4)
+        assert spark.read.parquet(path).schema["x"].dataType.simpleString() == "int"
+        for q in workload[:3]:
+            got = run_range_query(spark, path, ["x", "y"], q)
+            sql = (
+                f"SELECT x, y FROM pts WHERE x BETWEEN {q.lo[0]} AND {q.hi[0]} "
+                f"AND y BETWEEN {q.lo[1]} AND {q.hi[1]}"
+            )
+            assert_equivalent(got, sql, pts=pdf.astype("int64"))
+
     def test_count_aggregate_matches_duckdb(self, spark, points, tmp_path):
         df = to_spark(spark, points)
         sigma = BMC.lex(2, ELL)
