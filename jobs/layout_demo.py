@@ -1,9 +1,10 @@
 """End-to-end Spark demo: choose a BMC layout, write Parquet, measure skipping.
 
 This is the production embedding from the reproduction brief: the
-constant-time estimator (initialized by a per-partition UDF over the
-query workload) scores candidate curves; the winner orders the Parquet
-write; file min/max stats then prune files per query.
+constant-time estimator (initialized by one Python task per core, each
+folding its batches of the query workload into one partial) scores
+candidate curves; the winner orders the Parquet write; file min/max
+stats then prune files per query, counted in one Spark aggregation.
 
 Usage: spark-submit jobs/layout_demo.py  (or python jobs/layout_demo.py)
 """

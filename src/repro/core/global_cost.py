@@ -88,7 +88,7 @@ class GlobalCostEstimator:
 
         ``A`` and ``n`` are additive over queries, which is what makes the
         initialization embarrassingly parallel (used by the Spark
-        per-partition UDF in ``repro.sparkops.estimator``)."""
+        per-task fold in ``repro.sparkops.estimator``)."""
         if not parts:
             raise ValueError("nothing to merge")
         first = parts[0]

@@ -238,7 +238,7 @@ class PatternTables:
         """Combine tables fitted on disjoint query partitions.
 
         Tables and cell totals are additive over queries — the basis for
-        the Spark per-partition initialization."""
+        the Spark distributed initialization."""
         if not parts:
             raise ValueError("nothing to merge")
         first = parts[0]

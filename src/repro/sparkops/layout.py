@@ -78,32 +78,36 @@ def file_skipping_stats(
 
     A file can be skipped iff its [min, max] curve-value range misses
     the query's [F(p_s), F(p_e)] span (Corollary 1) — the same pruning
-    Parquet readers do with column statistics."""
-    df = _read_table(spark, path, [*cols, "curve_value"])
-    ranges = (
-        df.groupBy(F.input_file_name().alias("file"))
-        .agg(F.min("curve_value").alias("lo"), F.max("curve_value").alias("hi"))
-        .collect()
-    )
-    if not ranges:
-        raise ValueError(f"no parquet files under {path}")
-    touched_counts = []
-    matched_counts = []
+    Parquet readers do with column statistics.  One aggregation over
+    one scan gives each file's curve-value range and the rows of that
+    file matching each query."""
+    if not len(queries):
+        raise ValueError("empty workload")
+    matches = []
     for q in queries:
-        span_lo, span_hi = sigma.value(q.lo), sigma.value(q.hi)
-        touched_counts.append(
-            sum(1 for r in ranges if not (r.hi < span_lo or r.lo > span_hi))
-        )
         cond = None
         for i, c in enumerate(cols):
             clause = (F.col(c) >= int(q.lo[i])) & (F.col(c) <= int(q.hi[i]))
             cond = clause if cond is None else (cond & clause)
-        matched_counts.append(df.filter(cond).count())
+        matches.append(F.count_if(cond))
+    files = (
+        _read_table(spark, path, [*cols, "curve_value"])
+        .groupBy(F.input_file_name().alias("file"))
+        .agg(F.min("curve_value").alias("lo"), F.max("curve_value").alias("hi"), *matches)
+        .collect()
+    )
+    if not files:
+        raise ValueError(f"no parquet files under {path}")
+    touched = 0
+    for q in queries:
+        span_lo, span_hi = sigma.value(q.lo), sigma.value(q.hi)
+        touched += sum(1 for f in files if not (f.hi < span_lo or f.lo > span_hi))
+    matched = sum(sum(f[3:]) for f in files)  # the count_if columns
     n = len(queries)
     return SkippingStats(
-        n_files=len(ranges),
-        avg_files_touched=sum(touched_counts) / n,
-        avg_rows_matched=sum(matched_counts) / n,
+        n_files=len(files),
+        avg_files_touched=touched / n,
+        avg_rows_matched=matched / n,
     )
 
 

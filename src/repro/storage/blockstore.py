@@ -84,19 +84,23 @@ class BlockStore:
         how many query sections land in it.  Only the blocks whose box
         meets a query are scanned, point by point, for matches."""
         wl = as_workload(queries)
+        return self._count(wl.lo, wl.hi)
+
+    def _count(self, lo: np.ndarray, hi: np.ndarray) -> Accesses:
+        """``accesses`` over valid (m, d) int64 bounds (0 <= lo <= hi)."""
         n, d = self.points.shape
-        if wl.d != d:
+        if lo.shape[1] != d:
             raise ValueError("query dimensionality mismatch")
-        lo, hi = wl.lo, wl.hi
         if self.points.dtype.kind == "u":
-            # exact (a Workload has lo >= 0), and uint64 comparisons run
+            # exact (valid bounds have lo >= 0), and uint64 comparisons run
             # ~1.7x faster than numpy's mixed int64/uint64 ones
             lo, hi = lo.astype(np.uint64), hi.astype(np.uint64)
         B, nb = self.block_size, self.n_blocks
-        rows, blocks, examined = (np.zeros(len(wl), dtype=np.int64) for _ in range(3))
-        last = np.zeros(len(wl), dtype=bool)
+        m = len(lo)
+        rows, blocks, examined = (np.zeros(m, dtype=np.int64) for _ in range(3))
+        last = np.zeros(m, dtype=bool)
         step = max(1, _MASK_ENTRIES // max(1, nb * B))
-        for s in range(0, len(wl), step):
+        for s in range(0, m, step):
             qlo, qhi = lo[s : s + step], hi[s : s + step]
             # step 1: the (query, block) pairs whose box meets the query
             meets = np.ones((len(qlo), nb), dtype=bool)
@@ -120,9 +124,14 @@ class BlockStore:
             last[s + q[in_last & (hits > 0)]] = True
         return Accesses(rows, blocks, blocks * B - last * (nb * B - n), examined)
 
+    def _one(self, q: RangeQuery) -> Accesses:
+        """``accesses`` of one query: a ``RangeQuery`` is already valid, so
+        its bounds go straight to the counting pass as (1, d) arrays."""
+        return self._count(np.array([q.lo], dtype=np.int64), np.array([q.hi], dtype=np.int64))
+
     def query(self, q: RangeQuery) -> tuple[int, int]:
         """Execute a range query; returns (result count, blocks accessed)."""
-        acc = self.accesses([q])
+        acc = self._one(q)
         return int(acc.rows[0]), int(acc.blocks[0])
 
     def avg_block_accesses(self, queries: Workload | list[RangeQuery]) -> float:
@@ -136,7 +145,7 @@ class BlockStore:
 
         ``V(q) / (blocks * B)`` in the paper's notation, with the actual
         last-block occupancy accounted for."""
-        acc = self.accesses([q])
+        acc = self._one(q)
         if acc.blocks[0] == 0:
             return 1.0
         return int(acc.rows[0]) / int(acc.fetched[0])

@@ -155,3 +155,30 @@ class TestSkipping:
         assert s.n_files >= 1
         assert s.avg_files_touched == s.n_files  # full-domain query reads all
         assert s.avg_rows_matched == len(points)
+
+    def test_skipping_stats_count_in_one_aggregation(self, spark, points, workload, tmp_path):
+        sigma = BMC.zc(2, ELL)
+        path = str(tmp_path / "one_agg")
+        write_curve_ordered(to_spark(spark, points), sigma, ["x", "y"], path, n_files=8)
+        sc = spark.sparkContext
+        sc.setJobGroup("test-skipping-stats", "file skipping stats")
+        try:
+            s = file_skipping_stats(spark, path, sigma, ["x", "y"], workload)
+        finally:
+            sc.setLocalProperty("spark.jobGroup.id", None)
+            sc.setLocalProperty("spark.job.description", None)
+        sc._jsc.sc().listenerBus().waitUntilEmpty()  # job starts reach the tracker
+        # one aggregation: one job, or two under AQE, which runs the
+        # shuffle-map stage as a job of its own
+        assert len(sc.statusTracker().getJobIdsForGroup("test-skipping-stats")) <= 2
+        matched = [
+            np.count_nonzero(np.all((points >= q.lo) & (points <= q.hi), axis=1))
+            for q in workload
+        ]
+        assert s.avg_rows_matched == sum(matched) / len(workload)
+
+    def test_skipping_stats_empty_workload_rejected(self, spark, points, tmp_path):
+        path = str(tmp_path / "empty_wl")
+        write_curve_ordered(to_spark(spark, points), BMC.zc(2, ELL), ["x", "y"], path, n_files=2)
+        with pytest.raises(ValueError):
+            file_skipping_stats(spark, path, BMC.zc(2, ELL), ["x", "y"], [])
