@@ -3,8 +3,11 @@
 This is the production embedding from the reproduction brief: the
 constant-time estimator (initialized by one Python task per core, each
 folding its batches of the query workload into one partial) scores
-candidate curves; the winner orders the Parquet write; file min/max
-stats then prune files per query, counted in one Spark aggregation.
+candidate curves; the winner orders the Parquet write, which leaves a
+manifest of each file's min/max box; each range query then reads only
+the files whose box meets it.  "Files read" is the count the query's
+scan opens (the same test the engine's ``numFiles`` follows), and the
+matching rows come from one Spark aggregation.
 
 Usage: spark-submit jobs/layout_demo.py  (or python jobs/layout_demo.py)
 """
@@ -33,7 +36,7 @@ def run(spark: SparkSession, n_pts: int = 100_000, ell: int = 16, out_dir: str |
     out_dir = out_dir or tempfile.mkdtemp(prefix="layout_demo_")
     path = f"{out_dir}/points_by_curve"
     write_curve_ordered(to_spark(spark, points), best, ["x", "y"], path, n_files=16)
-    stats = file_skipping_stats(spark, path, best, ["x", "y"], workload[:50])
+    stats = file_skipping_stats(spark, path, ["x", "y"], workload[:50])
     return best, scores, stats
 
 
@@ -49,7 +52,7 @@ def main(argv=None) -> int:
     for sigma, cost in sorted(scores, key=lambda t: t[1])[:5]:
         print(f"  candidate {sigma}: cost {cost}")
     print(
-        f"files: {stats.n_files}, avg files touched/query: "
+        f"files: {stats.n_files}, avg files read/query: "
         f"{stats.avg_files_touched:.2f}, avg rows matched: {stats.avg_rows_matched:.1f}"
     )
     return 0

@@ -4,8 +4,11 @@ Every query result produced through the curve-ordered table is diffed
 against DuckDB executing the same SQL over the same input — a broken
 curve value, mis-ordered write, or wrong pruning would surface here.
 """
+import os
+
 import numpy as np
 import pandas as pd
+import pyarrow.parquet as pq
 import pytest
 from pyspark.sql import functions as F
 
@@ -14,15 +17,36 @@ from repro.core.cost_model import WorkloadCostEstimator
 from repro.core.query import RangeQuery
 from repro.oracle import assert_equivalent
 from repro.sparkops.layout import (
+    admitted_files,
     choose_layout,
     file_skipping_stats,
+    read_manifest,
     run_range_query,
+    scan_metrics,
     write_curve_ordered,
 )
 from repro.workloads.datasets import osm_like, to_spark
 from repro.workloads.queries import data_following
 
 ELL = 10
+
+
+def jobs_of(spark, group, action):
+    """Run ``action`` under a job group; return (its result, the jobs it started)."""
+    sc = spark.sparkContext
+    sc.setJobGroup(group, group)
+    try:
+        out = action()
+    finally:
+        sc.setLocalProperty("spark.jobGroup.id", None)
+        sc.setLocalProperty("spark.job.description", None)
+    sc._jsc.sc().listenerBus().waitUntilEmpty()  # job starts reach the tracker
+    return out, len(sc.statusTracker().getJobIdsForGroup(group))
+
+
+def query_and_collect(spark, path, q):
+    got = run_range_query(spark, path, ["x", "y"], q)
+    return got, got.collect()
 
 
 @pytest.fixture(scope="module")
@@ -140,7 +164,7 @@ class TestSkipping:
         for name, sigma in [("x_low", x_low), ("y_low", y_low)]:
             path = str(tmp_path / name)
             write_curve_ordered(df, sigma, ["x", "y"], path, n_files=16)
-            stats[name] = file_skipping_stats(spark, path, sigma, ["x", "y"], workload)
+            stats[name] = file_skipping_stats(spark, path, ["x", "y"], workload)
         assert stats["x_low"].avg_files_touched < stats["y_low"].avg_files_touched
         # estimator ordering agrees with the physical outcome
         assert est.cost(x_low) < est.cost(y_low)
@@ -151,7 +175,7 @@ class TestSkipping:
         path = str(tmp_path / "stats")
         write_curve_ordered(df, sigma, ["x", "y"], path, n_files=4)
         qs = [RangeQuery((0, 0), ((1 << ELL) - 1, (1 << ELL) - 1))]
-        s = file_skipping_stats(spark, path, sigma, ["x", "y"], qs)
+        s = file_skipping_stats(spark, path, ["x", "y"], qs)
         assert s.n_files >= 1
         assert s.avg_files_touched == s.n_files  # full-domain query reads all
         assert s.avg_rows_matched == len(points)
@@ -163,7 +187,7 @@ class TestSkipping:
         sc = spark.sparkContext
         sc.setJobGroup("test-skipping-stats", "file skipping stats")
         try:
-            s = file_skipping_stats(spark, path, sigma, ["x", "y"], workload)
+            s = file_skipping_stats(spark, path, ["x", "y"], workload)
         finally:
             sc.setLocalProperty("spark.jobGroup.id", None)
             sc.setLocalProperty("spark.job.description", None)
@@ -181,4 +205,78 @@ class TestSkipping:
         path = str(tmp_path / "empty_wl")
         write_curve_ordered(to_spark(spark, points), BMC.zc(2, ELL), ["x", "y"], path, n_files=2)
         with pytest.raises(ValueError):
-            file_skipping_stats(spark, path, BMC.zc(2, ELL), ["x", "y"], [])
+            file_skipping_stats(spark, path, ["x", "y"], [])
+
+
+class TestManifestPruning:
+    def test_full_domain_query_over_40_files_is_one_job(self, spark, points, tmp_path):
+        # 32 explicit paths or more would be listed by a Spark job of their own
+        path = str(tmp_path / "forty")
+        write_curve_ordered(to_spark(spark, points), BMC.zc(2, ELL), ["x", "y"], path, n_files=40)
+        assert len(read_manifest(path)["files"]) == 40
+        top = (1 << ELL) - 1
+        q = RangeQuery((0, 0), (top, top))
+        # planning lists the files, so the job count covers the query's creation
+        (got, rows), jobs = jobs_of(spark, "test-forty-files", lambda: query_and_collect(spark, path, q))
+        assert jobs == 1
+        assert len(rows) == len(points)
+        assert scan_metrics(got)["numFiles"] == 40
+        pdf = pd.DataFrame({"x": points[:, 0].astype("int64"), "y": points[:, 1].astype("int64")})
+        assert_equivalent(got, "SELECT x, y FROM pts", pts=pdf)
+
+    def test_rewrite_replaces_manifest(self, spark, points, tmp_path):
+        path = str(tmp_path / "rewritten")
+        df = to_spark(spark, points)
+        write_curve_ordered(df, BMC.zc(2, ELL), ["x", "y"], path, n_files=6)
+        sigma = BMC.lex(2, ELL)
+        write_curve_ordered(df, sigma, ["x", "y"], path, n_files=3)
+        manifest = read_manifest(path)
+        assert manifest["columns"] == ["x", "y", "curve_value"]
+        data = sorted(f for f in os.listdir(path) if f.endswith(".parquet"))
+        assert sorted(f["file"] for f in manifest["files"]) == data
+        assert len(data) == 3
+        for f in manifest["files"]:
+            t = pq.read_table(os.path.join(path, f["file"]))
+            xy = np.column_stack([t["x"].to_numpy(), t["y"].to_numpy()])
+            assert np.array_equal(sigma.values(xy.astype(np.uint64)), t["curve_value"].to_numpy())
+            cols = [t[c].to_numpy() for c in manifest["columns"]]
+            assert f["rows"] == len(xy)
+            assert f["min"] == [int(c.min()) for c in cols]
+            assert f["max"] == [int(c.max()) for c in cols]
+
+    def test_missing_manifest_raises(self, spark, points, tmp_path):
+        path = str(tmp_path / "plain")
+        to_spark(spark, points).write.parquet(path)
+        q = RangeQuery((0, 0), (10, 10))
+        with pytest.raises(FileNotFoundError, match=path):
+            run_range_query(spark, path, ["x", "y"], q)
+        with pytest.raises(FileNotFoundError, match=path):
+            file_skipping_stats(spark, path, ["x", "y"], [q])
+
+    def test_query_admitting_no_file_is_empty_and_starts_no_job(self, spark, points, tmp_path):
+        half = 1 << (ELL - 1)
+        low = points[np.all(points < half, axis=1)]  # the fixture's lower-left quadrant
+        path = str(tmp_path / "quadrant")
+        write_curve_ordered(to_spark(spark, low), BMC.zc(2, ELL), ["x", "y"], path, n_files=4)
+        top = (1 << ELL) - 1
+        q = RangeQuery((half, half), (top, top))
+        assert not np.any(np.all((low >= q.lo) & (low <= q.hi), axis=1))
+        assert admitted_files(read_manifest(path), ["x", "y"], q) == []
+        (got, rows), jobs = jobs_of(spark, "test-no-file", lambda: query_and_collect(spark, path, q))
+        assert rows == [] and jobs == 0
+        assert got.schema.simpleString() == "struct<x:bigint,y:bigint>"
+        assert scan_metrics(got)["numFiles"] == 0
+
+    def test_engine_reads_the_admitted_files(self, spark, points, workload, tmp_path):
+        path = str(tmp_path / "engine")
+        write_curve_ordered(to_spark(spark, points), BMC.zc(2, ELL), ["x", "y"], path, n_files=16)
+        manifest = read_manifest(path)
+        admitted, read = [], []
+        for q in workload:
+            got, _ = query_and_collect(spark, path, q)
+            admitted.append(len(admitted_files(manifest, ["x", "y"], q)))
+            read.append(scan_metrics(got)["numFiles"])
+        assert read == admitted
+        assert max(read) < 16  # the box test prunes
+        s = file_skipping_stats(spark, path, ["x", "y"], workload)
+        assert s.avg_files_touched == np.mean(read)
