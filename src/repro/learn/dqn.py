@@ -125,7 +125,7 @@ class DQNAgent:
         q_masked = np.where(valid_mask, q, -np.inf)
         return int(np.argmax(q_masked))
 
-    def observe(self, state, action, reward, next_state, next_valid_mask) -> float | None:
+    def observe(self, state, action, reward, next_state) -> float | None:
         """Store the transition and train on one replay minibatch
         (Algorithm 3 lines 7-8); returns the loss when training ran."""
         self.memory.push(state, action, reward, next_state)

@@ -24,15 +24,16 @@ from .dqn import DQNAgent
 
 def encode(sigma: BMC) -> np.ndarray:
     """One-hot encoding φ(σ) (Section 5): d floats per bit slot."""
-    out = np.zeros(sigma.nbits * sigma.d)
-    for r, dim in enumerate(sigma.slots):
-        out[r * sigma.d + dim] = 1.0
-    return out
+    out = np.zeros((sigma.nbits, sigma.d))
+    out[np.arange(sigma.nbits), sigma.slots] = 1.0
+    return out.ravel()
 
 
 def valid_action_mask(sigma: BMC) -> np.ndarray:
-    """Mask over swap positions 1..nbits-1 (index a-1 = position a)."""
-    return np.array([sigma.can_swap(a) for a in range(1, sigma.nbits)])
+    """Mask over swap positions 1..nbits-1 (index a-1 = position a):
+    ``BMC.can_swap`` of every position at once."""
+    slots = np.asarray(sigma.slots)
+    return slots[:-1] != slots[1:]
 
 
 @dataclass
@@ -160,7 +161,7 @@ class LBMC:
                 c_next = cost(nxt)
                 r = (c_t - c_next) / c1 if c1 else 0.0
                 next_state = encode(nxt)
-                agent.observe(state, a, r, next_state, valid_action_mask(nxt))
+                agent.observe(state, a, r, next_state)
                 sigma, c_t, state = nxt, c_next, next_state
                 history.append(c_t / c1 if c1 else 1.0)
                 if c_t < best_cost:

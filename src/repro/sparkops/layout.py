@@ -8,6 +8,13 @@ estimator, then write the data ordered by the winning curve
 so each output file covers a narrow curve-value range, and so a small
 box of the grid.
 
+The table's blocks are Parquet pages of ``PAGE_ROWS`` rows: 1,024
+BIGINT values are 8 KB, the PostgreSQL page the paper counts block
+accesses in (§6.1) and ``storage/blockstore.py`` models.  Parquet keeps
+each page's min/max in a column index, a per-page zone map, and the
+reader tests the query's pushed-down ``BETWEEN`` predicates against it:
+inside a file it decodes only the pages whose box meets the query box.
+
 Beside the data files, ``write_curve_ordered`` leaves a file manifest
 (``_curve_files.json``, hidden from Spark's reader by its leading
 underscore): each file's row count and the min/max of the coordinate
@@ -15,10 +22,11 @@ columns and ``curve_value``, read from the Parquet footers on the
 driver.  A range query admits a file iff the file's box meets the query
 box — the zone-map test ``storage/blockstore.py`` applies to its
 blocks, in place of the paper's B+-tree — and plans one scan of the
-admitted files only.  Pruning thus happens at planning time, and the
-files the engine opens are the files a good curve saves (§4.2):
-``file_skipping_stats`` reports that count with the same test, and
-``scan_metrics`` reads what the engine itself counted.
+admitted files only.  Pruning thus happens twice: files at planning
+time, pages at read time, and the rows the engine reads are those of
+the pages a good curve saves (§4.2): ``file_skipping_stats`` reports the
+files with the same test, and ``scan_metrics`` reads what the engine
+itself counted.
 """
 from __future__ import annotations
 
@@ -37,6 +45,8 @@ from repro.core.query import RangeQuery
 from .curve_udf import with_curve_value
 
 MANIFEST = "_curve_files.json"
+#: Rows per Parquet page, the table's block: 8 KB of a BIGINT column.
+PAGE_ROWS = 1024
 
 
 def choose_layout(
@@ -55,18 +65,21 @@ def write_curve_ordered(
     path: str,
     n_files: int = 8,
 ) -> None:
-    """Write ``df`` as Parquet physically ordered by the BMC value, and
-    its file manifest beside it.
+    """Write ``df`` as Parquet physically ordered by the BMC value, in
+    pages of ``PAGE_ROWS`` rows, and its file manifest beside it.
 
     ``repartitionByRange`` gives each output file a disjoint curve-value
-    range; the within-file sort tightens row-group min/max stats.
-    ``path`` is a local directory: the manifest is read from the footers
-    with pyarrow, and starts no Spark job."""
+    range; the within-file sort makes each page a short run of the curve,
+    and so a small box, which the page's column-index min/max records
+    for the reader to prune by.  ``path`` is a local directory: the
+    manifest is read from the footers with pyarrow, and starts no Spark
+    job."""
     out = with_curve_value(df, sigma, cols)
     (
         out.repartitionByRange(n_files, "curve_value")
         .sortWithinPartitions("curve_value")
         .write.mode("overwrite")
+        .option("parquet.page.row.count.limit", PAGE_ROWS)
         .parquet(path)
     )
     _write_manifest(path, [*cols, "curve_value"])

@@ -69,6 +69,6 @@ class TestAgent:
     def test_observe_trains_after_warmup(self):
         agent = DQNAgent(4, 2, batch_size=8, seed=0)
         s = np.zeros(4)
-        losses = [agent.observe(s, 0, 1.0, s, np.ones(2, dtype=bool)) for _ in range(20)]
+        losses = [agent.observe(s, 0, 1.0, s) for _ in range(20)]
         assert all(l is None for l in losses[:7])
         assert any(l is not None for l in losses[8:])

@@ -5,6 +5,7 @@ against DuckDB executing the same SQL over the same input — a broken
 curve value, mis-ordered write, or wrong pruning would surface here.
 """
 import os
+from unittest.mock import ANY
 
 import numpy as np
 import pandas as pd
@@ -17,6 +18,7 @@ from repro.core.cost_model import WorkloadCostEstimator
 from repro.core.query import RangeQuery
 from repro.oracle import assert_equivalent
 from repro.sparkops.layout import (
+    PAGE_ROWS,
     admitted_files,
     choose_layout,
     file_skipping_stats,
@@ -25,6 +27,7 @@ from repro.sparkops.layout import (
     scan_metrics,
     write_curve_ordered,
 )
+from repro.storage.blockstore import BlockStore
 from repro.workloads.datasets import osm_like, to_spark
 from repro.workloads.queries import data_following
 
@@ -47,6 +50,28 @@ def jobs_of(spark, group, action):
 def query_and_collect(spark, path, q):
     got = run_range_query(spark, path, ["x", "y"], q)
     return got, got.collect()
+
+
+def page_stores(path, manifest):
+    """One block store per data file, its blocks the file's pages: the
+    (x, y) rows in file order (curve values ``arange(n)`` keep that
+    order), ``PAGE_ROWS`` a block."""
+    out = {}
+    for f in manifest["files"]:
+        t = pq.read_table(os.path.join(path, f["file"]), columns=["x", "y"])
+        xy = np.column_stack([t["x"].to_numpy(), t["y"].to_numpy()])
+        out[f["file"]] = BlockStore(xy, np.arange(len(xy)), PAGE_ROWS)
+    return out
+
+
+def rows_of_pages_met(store, q):
+    """The rows of the store's blocks whose box meets ``q``: the blocks
+    ``accesses`` counts as ``examined``."""
+    meets = np.all((store.box_lo <= q.hi) & (store.box_hi >= q.lo), axis=1)
+    n = len(store.points)
+    sizes = np.diff(np.minimum(np.arange(store.n_blocks + 1) * PAGE_ROWS, n))
+    assert np.count_nonzero(meets) == store.accesses([q]).examined[0]
+    return int(sizes[meets].sum())
 
 
 @pytest.fixture(scope="module")
@@ -280,3 +305,59 @@ class TestManifestPruning:
         assert max(read) < 16  # the box test prunes
         s = file_skipping_stats(spark, path, ["x", "y"], workload)
         assert s.avg_files_touched == np.mean(read)
+
+
+class TestPagePruning:
+    @pytest.mark.parametrize("curve", ["zc", "lex"])
+    def test_engine_reads_the_pages_whose_box_meets_the_query(
+        self, spark, points, workload, tmp_path, curve
+    ):
+        path = str(tmp_path / curve)
+        sigma = getattr(BMC, curve)(2, ELL)
+        write_curve_ordered(to_spark(spark, points), sigma, ["x", "y"], path, n_files=16)
+        manifest = read_manifest(path)
+        stores = page_stores(path, manifest)
+        read, total = [], 0
+        for q in workload:
+            got, rows = query_and_collect(spark, path, q)
+            want = points[np.all((points >= q.lo) & (points <= q.hi), axis=1)]
+            assert sorted(map(tuple, rows)) == sorted(map(tuple, want.tolist()))
+            files = admitted_files(manifest, ["x", "y"], q)
+            read.append(scan_metrics(got)["numOutputRows"])
+            assert read[-1] == sum(rows_of_pages_met(stores[f], q) for f in files)
+            total += sum(f["rows"] for f in manifest["files"] if f["file"] in files)
+        assert sum(read) < total  # pages prune inside the admitted files
+
+    def test_every_column_chunk_has_a_column_index(self, spark, points, tmp_path):
+        path = str(tmp_path / "indexed")
+        write_curve_ordered(to_spark(spark, points), BMC.zc(2, ELL), ["x", "y"], path, n_files=4)
+        for f in read_manifest(path)["files"]:
+            meta = pq.read_metadata(os.path.join(path, f["file"]))
+            for g in range(meta.num_row_groups):
+                group = meta.row_group(g)
+                for c in range(group.num_columns):
+                    assert group.column(c).has_column_index
+
+    def test_query_meeting_a_file_but_none_of_its_pages_reads_nothing(
+        self, spark, points, tmp_path
+    ):
+        # one file of two pages: a page of lower-left points, then (on ZC)
+        # the upper-right ones; the file's box is the whole grid
+        half, top = 1 << (ELL - 1), (1 << ELL) - 1
+        low = points[np.all(points < half, axis=1)][:PAGE_ROWS]
+        high = points[np.all(points >= half, axis=1)][:PAGE_ROWS]
+        assert len(low) == PAGE_ROWS and len(high)
+        table = np.concatenate([low, high])
+        path = str(tmp_path / "gap")
+        write_curve_ordered(to_spark(spark, table), BMC.zc(2, ELL), ["x", "y"], path, n_files=1)
+        manifest = read_manifest(path)
+        q = RangeQuery((0, half), (half - 1, top))  # the upper-left quadrant
+        files = admitted_files(manifest, ["x", "y"], q)
+        assert len(files) == 1
+        assert rows_of_pages_met(page_stores(path, manifest)[files[0]], q) == 0
+        got, rows = query_and_collect(spark, path, q)
+        assert rows == []
+        assert scan_metrics(got) == {"numFiles": 1, "numOutputRows": 0, "filesSize": ANY}
+        pdf = pd.DataFrame({"x": table[:, 0].astype("int64"), "y": table[:, 1].astype("int64")})
+        sql = f"SELECT x, y FROM pts WHERE x BETWEEN 0 AND {half - 1} AND y BETWEEN {half} AND {top}"
+        assert_equivalent(got, sql, pts=pdf)
