@@ -13,8 +13,6 @@ DEFAULT_ELL = 10          # paper: 10 for cost-estimation, 20 for query exps
 DEFAULT_ELL_QUERY = 16    # paper: 20
 DEFAULT_N_QUERIES = 16    # paper: 2^4 for cost-estimation efficiency
 DEFAULT_DELTA = 16        # paper: delta x 2^4
-DEFAULT_N_LEARN = 1000    # paper: 1,000 learning queries
-DEFAULT_N_TEST = 200      # paper: 2,000 test queries (scaled 10x down)
 DEFAULT_BLOCK_SIZE = 204  # ~8 KB PostgreSQL page of 2-D point tuples
 
 
@@ -27,14 +25,6 @@ def time_call(fn: Callable, *args, repeats: int = 3, **kwargs) -> tuple[float, o
         result = fn(*args, **kwargs)
         best = min(best, time.perf_counter() - t0)
     return best, result
-
-
-def fmt_seconds(s: float) -> str:
-    if s < 1e-3:
-        return f"{s * 1e6:.1f}us"
-    if s < 1.0:
-        return f"{s * 1e3:.2f}ms"
-    return f"{s:.2f}s"
 
 
 def render_table(title: str, rows: list[dict], columns: list[str] | None = None) -> str:

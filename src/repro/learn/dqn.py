@@ -3,9 +3,9 @@
 The paper trains its DQN with TensorFlow, which is unavailable offline;
 this is a from-scratch numpy substitute (documented in DESIGN.md): a
 one-hidden-layer MLP Q-network trained by Adam on minibatches sampled
-from a replay memory, with ε-greedy action selection and optional
-invalid-action masking.  Same semantics as [Mnih et al. 2013] as used
-by Algorithm 3.
+from a replay memory.  Same semantics as [Mnih et al. 2013] as used by
+Algorithm 3; the ε-greedy choice among valid swaps is LBMC's
+``_select_action``.
 """
 from __future__ import annotations
 
@@ -91,7 +91,8 @@ class QNetwork:
 
 
 class DQNAgent:
-    """ε-greedy DQN with replay, supporting invalid-action masks."""
+    """DQN with replay: the Q-network and its training, plus the ε and
+    random stream that LBMC's action selection reads."""
 
     def __init__(
         self,
@@ -110,20 +111,7 @@ class DQNAgent:
         self.gamma = gamma
         self.epsilon = epsilon
         self.batch_size = batch_size
-        self.n_actions = n_actions
         self._rng = np.random.default_rng(seed + 2)
-
-    def act(self, state: np.ndarray, valid_mask: np.ndarray) -> int:
-        """Algorithm 3 line 4: random valid action with prob ε, else
-        argmax Q over valid actions."""
-        valid = np.flatnonzero(valid_mask)
-        if len(valid) == 0:
-            raise ValueError("no valid actions")
-        if self._rng.random() < self.epsilon:
-            return int(self._rng.choice(valid))
-        q = self.net.forward(state)[0]
-        q_masked = np.where(valid_mask, q, -np.inf)
-        return int(np.argmax(q_masked))
 
     def observe(self, state, action, reward, next_state) -> float | None:
         """Store the transition and train on one replay minibatch

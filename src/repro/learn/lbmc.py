@@ -79,7 +79,7 @@ class LBMC:
         self.batch_size = batch_size
         self.seed = seed
 
-    def _select_action(self, agent, sigma, c_t, c1, state, mask, cost) -> int:
+    def _select_action(self, agent, sigma, c_t, c1, mask, cost) -> int:
         """Action selection integrating the paper's two approaches (§5).
 
         With probability ε: a random valid swap (exploration).  Otherwise
@@ -156,7 +156,7 @@ class LBMC:
             state = encode(sigma)
             for _ in range(self.steps):
                 mask = valid_action_mask(sigma)
-                a = self._select_action(agent, sigma, c_t, c1, state, mask, cost)
+                a = self._select_action(agent, sigma, c_t, c1, mask, cost)
                 nxt = sigma.swap(a + 1)  # positions are 1-indexed
                 c_next = cost(nxt)
                 r = (c_t - c_next) / c1 if c1 else 0.0
@@ -170,13 +170,11 @@ class LBMC:
         # follow the lookahead policy for one episode, keeping improvements
         agent.epsilon = 0.0
         sigma, c_t = best, best_cost
-        state = encode(sigma)
         for _ in range(self.steps):
             mask = valid_action_mask(sigma)
-            a = self._select_action(agent, sigma, c_t, c1, state, mask, cost)
-            nxt = sigma.swap(a + 1)
-            c_next = cost(nxt)
-            sigma, c_t, state = nxt, c_next, encode(nxt)
+            a = self._select_action(agent, sigma, c_t, c1, mask, cost)
+            sigma = sigma.swap(a + 1)
+            c_t = cost(sigma)
             history.append(c_t / c1 if c1 else 1.0)
             if c_t < best_cost:
                 best, best_cost = sigma, c_t

@@ -24,20 +24,17 @@ box — the zone-map test ``storage/blockstore.py`` applies to its
 blocks, in place of the paper's B+-tree — and plans one scan of the
 admitted files only.  Pruning thus happens twice: files at planning
 time, pages at read time, and the rows the engine reads are those of
-the pages a good curve saves (§4.2): ``file_skipping_stats`` reports the
-files with the same test, and ``scan_metrics`` reads what the engine
-itself counted.
+the pages a good curve saves (§4.2): ``scan_metrics`` reads the files
+and rows the engine itself counted.
 """
 from __future__ import annotations
 
 import json
 import os
 import re
-from dataclasses import dataclass
 
 import pyarrow.parquet as pq
 from pyspark.sql import DataFrame, DataFrameReader, SparkSession
-from pyspark.sql import functions as F
 
 from repro.core.bmc import BMC
 from repro.core.cost_model import WorkloadCostEstimator
@@ -141,15 +138,6 @@ def admitted_files(manifest: dict, cols: list[str], q: RangeQuery) -> list[str]:
     ]
 
 
-@dataclass
-class SkippingStats:
-    """Per-workload file-pruning outcome over a curve-ordered table."""
-
-    n_files: int
-    avg_files_touched: float
-    avg_rows_matched: float
-
-
 def _reader(spark: SparkSession, cols: list[str]) -> DataFrameReader:
     """A reader of ``cols`` under a declared BIGINT schema: without one
     every read starts a schema-inference job over the Parquet footers.
@@ -165,36 +153,6 @@ def _predicate(cols: list[str], q: RangeQuery) -> str:
     """``q`` as one SQL predicate: one Catalyst parse, not a chain of filters."""
     return " AND ".join(
         f"{_quote(c)} BETWEEN {int(lo)} AND {int(hi)}" for c, lo, hi in zip(cols, q.lo, q.hi)
-    )
-
-
-def file_skipping_stats(
-    spark: SparkSession,
-    path: str,
-    cols: list[str],
-    queries: list[RangeQuery],
-) -> SkippingStats:
-    """How many files a query reads, and how many rows it matches.
-
-    ``avg_files_touched`` counts the files ``admitted_files`` admits —
-    the files ``run_range_query`` reads, which is the ``numFiles`` the
-    engine reports for its scan.  The matching rows of every query come
-    from one global aggregation over one scan of the table."""
-    if not len(queries):
-        raise ValueError("empty workload")
-    manifest = read_manifest(path)
-    counts = (
-        _reader(spark, cols)
-        .parquet(path)
-        .agg(*(F.expr(f"count_if({_predicate(cols, q)})") for q in queries))
-        .first()
-    )
-    touched = sum(len(admitted_files(manifest, cols, q)) for q in queries)
-    n = len(queries)
-    return SkippingStats(
-        n_files=len(manifest["files"]),
-        avg_files_touched=touched / n,
-        avg_rows_matched=sum(counts) / n,
     )
 
 

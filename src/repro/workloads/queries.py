@@ -52,18 +52,3 @@ def data_following(
     lo = np.maximum(0, np.minimum(centers - size // 2, top - (size - 1)))
     return Workload(lo, np.minimum(top, lo + size - 1))
 
-
-def learning_and_test_workloads(
-    points: np.ndarray,
-    ell: int,
-    delta: int,
-    n_learn: int = 1000,
-    n_test: int = 2000,
-    aspect: float = 1.0,
-    seed: int = 0,
-) -> tuple[Workload, Workload]:
-    """The paper's split: n_learn queries for SFC learning, n_test
-    generated separately (different seed stream) for evaluation."""
-    learn = data_following(points, n_learn, ell, delta, aspect, seed=seed)
-    test = data_following(points, n_test, ell, delta, aspect, seed=seed + 10_000)
-    return learn, test

@@ -55,17 +55,6 @@ class TestQNetwork:
 
 
 class TestAgent:
-    def test_act_respects_mask(self):
-        agent = DQNAgent(4, 3, epsilon=0.5, seed=0)
-        mask = np.array([False, True, False])
-        for _ in range(50):
-            assert agent.act(np.zeros(4), mask) == 1
-
-    def test_act_no_valid_actions(self):
-        agent = DQNAgent(4, 3)
-        with pytest.raises(ValueError):
-            agent.act(np.zeros(4), np.zeros(3, dtype=bool))
-
     def test_observe_trains_after_warmup(self):
         agent = DQNAgent(4, 2, batch_size=8, seed=0)
         s = np.zeros(4)

@@ -2,18 +2,13 @@
 import pytest
 
 from repro.experiments import fig9_10, fig11_13, fig14_17, table6, table7
-from repro.experiments.common import fmt_seconds, render_table, time_call
+from repro.experiments.common import render_table, time_call
 
 
 class TestCommon:
     def test_time_call_returns_result(self):
         t, r = time_call(lambda a, b: a + b, 2, 3, repeats=2)
         assert r == 5 and t >= 0
-
-    def test_fmt_seconds(self):
-        assert fmt_seconds(5e-7).endswith("us")
-        assert fmt_seconds(5e-2).endswith("ms")
-        assert fmt_seconds(2.0).endswith("s")
 
     def test_render_table(self):
         out = render_table("T", [{"a": 1, "b": "x"}, {"a": 22, "b": "yy"}])

@@ -1,9 +1,14 @@
 """Smoke tests: every jobs/ entrypoint runs and prints its table."""
+import re
 import runpy
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from repro.workloads.datasets import make_dataset
+from repro.workloads.queries import data_following
 
 JOBS = Path(__file__).resolve().parent.parent / "jobs"
 sys.path.insert(0, str(JOBS))
@@ -56,13 +61,35 @@ class TestDriverJobs:
 
 
 class TestLayoutDemo:
-    def test_run_end_to_end(self, spark, tmp_path):
+    @pytest.fixture(scope="class")
+    def returned(self):
+        """The rows inside each of the demo's 50 report queries at
+        ``n_pts=5_000, ell=10``, counted in numpy."""
+        points = make_dataset("OSM", 5_000, 10, seed=0)
+        queries = data_following(points, 300, 10, delta=1024, aspect=1 / 16.0, seed=1)[:50]
+        return [int(np.all((points >= q.lo) & (points <= q.hi), axis=1).sum()) for q in queries]
+
+    def test_run_end_to_end(self, spark, tmp_path, returned):
         mod = _load("layout_demo.py")
         best, scores, stats = mod["run"](
             spark, n_pts=5_000, ell=10, out_dir=str(tmp_path)
         )
         assert best.d == 2 and best.ell == 10
-        assert stats.n_files >= 1
-        assert stats.avg_files_touched <= stats.n_files
+        assert stats["rows_returned"] == returned
+        assert all(f <= stats["n_files"] for f in stats["files_read"])
+        assert all(r >= k for r, k in zip(stats["rows_read"], returned))
         # the chosen curve has the minimum estimated cost
         assert min(c for _, c in scores) == dict((s.slots, c) for s, c in scores)[best.slots]
+
+    def test_main_prints_the_scan_summary(self, spark, tmp_path, capsys, returned):
+        mod = _load("layout_demo.py")
+        assert mod["main"](["--n-pts", "5000", "--ell", "10", "--out", str(tmp_path)]) == 0
+        m = re.fullmatch(
+            r"files: (\d+), avg files read/query: ([\d.]+), "
+            r"avg rows read: ([\d.]+), avg rows returned: ([\d.]+)",
+            capsys.readouterr().out.splitlines()[-1],
+        )
+        assert m
+        assert float(m[2]) <= int(m[1])
+        assert float(m[3]) >= float(m[4])
+        assert m[4] == f"{np.mean(returned):.1f}"

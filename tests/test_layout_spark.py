@@ -21,7 +21,6 @@ from repro.sparkops.layout import (
     PAGE_ROWS,
     admitted_files,
     choose_layout,
-    file_skipping_stats,
     read_manifest,
     run_range_query,
     scan_metrics,
@@ -185,52 +184,15 @@ class TestSkipping:
         est = WorkloadCostEstimator(workload, 2, ELL)
         x_low = BMC.from_string("Y" * ELL + "X" * ELL)
         y_low = BMC.from_string("X" * ELL + "Y" * ELL)
-        stats = {}
+        touched = {}
         for name, sigma in [("x_low", x_low), ("y_low", y_low)]:
             path = str(tmp_path / name)
             write_curve_ordered(df, sigma, ["x", "y"], path, n_files=16)
-            stats[name] = file_skipping_stats(spark, path, ["x", "y"], workload)
-        assert stats["x_low"].avg_files_touched < stats["y_low"].avg_files_touched
+            manifest = read_manifest(path)
+            touched[name] = sum(len(admitted_files(manifest, ["x", "y"], q)) for q in workload)
+        assert touched["x_low"] < touched["y_low"]
         # estimator ordering agrees with the physical outcome
         assert est.cost(x_low) < est.cost(y_low)
-
-    def test_skipping_stats_shape(self, spark, points, tmp_path):
-        df = to_spark(spark, points)
-        sigma = BMC.zc(2, ELL)
-        path = str(tmp_path / "stats")
-        write_curve_ordered(df, sigma, ["x", "y"], path, n_files=4)
-        qs = [RangeQuery((0, 0), ((1 << ELL) - 1, (1 << ELL) - 1))]
-        s = file_skipping_stats(spark, path, ["x", "y"], qs)
-        assert s.n_files >= 1
-        assert s.avg_files_touched == s.n_files  # full-domain query reads all
-        assert s.avg_rows_matched == len(points)
-
-    def test_skipping_stats_count_in_one_aggregation(self, spark, points, workload, tmp_path):
-        sigma = BMC.zc(2, ELL)
-        path = str(tmp_path / "one_agg")
-        write_curve_ordered(to_spark(spark, points), sigma, ["x", "y"], path, n_files=8)
-        sc = spark.sparkContext
-        sc.setJobGroup("test-skipping-stats", "file skipping stats")
-        try:
-            s = file_skipping_stats(spark, path, ["x", "y"], workload)
-        finally:
-            sc.setLocalProperty("spark.jobGroup.id", None)
-            sc.setLocalProperty("spark.job.description", None)
-        sc._jsc.sc().listenerBus().waitUntilEmpty()  # job starts reach the tracker
-        # one aggregation: one job, or two under AQE, which runs the
-        # shuffle-map stage as a job of its own
-        assert len(sc.statusTracker().getJobIdsForGroup("test-skipping-stats")) <= 2
-        matched = [
-            np.count_nonzero(np.all((points >= q.lo) & (points <= q.hi), axis=1))
-            for q in workload
-        ]
-        assert s.avg_rows_matched == sum(matched) / len(workload)
-
-    def test_skipping_stats_empty_workload_rejected(self, spark, points, tmp_path):
-        path = str(tmp_path / "empty_wl")
-        write_curve_ordered(to_spark(spark, points), BMC.zc(2, ELL), ["x", "y"], path, n_files=2)
-        with pytest.raises(ValueError):
-            file_skipping_stats(spark, path, ["x", "y"], [])
 
 
 class TestManifestPruning:
@@ -275,8 +237,6 @@ class TestManifestPruning:
         q = RangeQuery((0, 0), (10, 10))
         with pytest.raises(FileNotFoundError, match=path):
             run_range_query(spark, path, ["x", "y"], q)
-        with pytest.raises(FileNotFoundError, match=path):
-            file_skipping_stats(spark, path, ["x", "y"], [q])
 
     def test_query_admitting_no_file_is_empty_and_starts_no_job(self, spark, points, tmp_path):
         half = 1 << (ELL - 1)
@@ -303,8 +263,6 @@ class TestManifestPruning:
             read.append(scan_metrics(got)["numFiles"])
         assert read == admitted
         assert max(read) < 16  # the box test prunes
-        s = file_skipping_stats(spark, path, ["x", "y"], workload)
-        assert s.avg_files_touched == np.mean(read)
 
 
 class TestPagePruning:

@@ -5,7 +5,6 @@ import pytest
 from repro.workloads.datasets import osm_like
 from repro.workloads.queries import (
     data_following,
-    learning_and_test_workloads,
     random_squares,
 )
 
@@ -55,10 +54,3 @@ class TestDataFollowing:
         centers = np.array([(q.lo[0] + q.hi[0]) / 2 for q in qs])
         assert np.median(centers) < 150
 
-
-class TestLearnTestSplit:
-    def test_disjoint_seeds(self):
-        pts = osm_like(3000, 8, 0)
-        learn, test = learning_and_test_workloads(pts, 8, delta=8, n_learn=50, n_test=80)
-        assert len(learn) == 50 and len(test) == 80
-        assert learn != test[: len(learn)]
