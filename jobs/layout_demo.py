@@ -18,7 +18,6 @@ import tempfile
 
 from pyspark.sql import SparkSession
 
-from repro.core.bmc import BMC
 from repro.learn.quilts import design_candidates
 from repro.sparkops.estimator import fit_estimator_distributed, queries_to_spark
 from repro.sparkops.layout import (
@@ -41,8 +40,7 @@ def run(spark: SparkSession, n_pts: int = 100_000, ell: int = 16, out_dir: str |
     workload = data_following(points, 300, ell, delta=1024, aspect=1 / 16.0, seed=1)
     queries_df = queries_to_spark(spark, workload, n_partitions=8)
     est = fit_estimator_distributed(queries_df, 2, ell)
-    candidates = design_candidates(workload, 2, ell) + [BMC.zc(2, ell), BMC.lex(2, ell)]
-    best, scores = choose_layout(est, candidates)
+    best, scores = choose_layout(est, design_candidates(workload, 2, ell))
     out_dir = out_dir or tempfile.mkdtemp(prefix="layout_demo_")
     path = f"{out_dir}/points_by_curve"
     write_curve_ordered(to_spark(spark, points), best, ["x", "y"], path, n_files=16)

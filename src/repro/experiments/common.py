@@ -13,7 +13,6 @@ DEFAULT_ELL = 10          # paper: 10 for cost-estimation, 20 for query exps
 DEFAULT_ELL_QUERY = 16    # paper: 20
 DEFAULT_N_QUERIES = 16    # paper: 2^4 for cost-estimation efficiency
 DEFAULT_DELTA = 16        # paper: delta x 2^4
-DEFAULT_BLOCK_SIZE = 204  # ~8 KB PostgreSQL page of 2-D point tuples
 
 
 def time_call(fn: Callable, *args, repeats: int = 3, **kwargs) -> tuple[float, object]:

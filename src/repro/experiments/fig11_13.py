@@ -13,12 +13,11 @@ accesses) of the resulting ordering.  Paper shape:
 """
 from __future__ import annotations
 
-from repro.core.query import RangeQuery
 from repro.learn.bmtree import BMTreeLite
-from repro.storage.blockstore import BlockStore
+from repro.storage.blockstore import DEFAULT_BLOCK_SIZE, BlockStore
 from repro.workloads.datasets import make_dataset
 from repro.workloads.queries import data_following
-from .common import DEFAULT_BLOCK_SIZE, DEFAULT_ELL_QUERY
+from .common import DEFAULT_ELL_QUERY
 
 
 def _evaluate(tree: BMTreeLite, points, test_queries, block_size) -> float:

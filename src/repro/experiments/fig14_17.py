@@ -19,10 +19,10 @@ from repro.core.hilbert import hilbert_values
 from repro.learn.bmtree import BMTreeLite
 from repro.learn.lbmc import LBMC
 from repro.learn.quilts import design_candidates, quilts
-from repro.storage.blockstore import BlockStore
+from repro.storage.blockstore import DEFAULT_BLOCK_SIZE, BlockStore
 from repro.workloads.datasets import make_dataset
 from repro.workloads.queries import data_following
-from .common import DEFAULT_BLOCK_SIZE, DEFAULT_ELL_QUERY
+from .common import DEFAULT_ELL_QUERY
 
 TECHNIQUES = ("LBMC", "BMTree", "QUILTS", "ZC", "HC", "LC")
 

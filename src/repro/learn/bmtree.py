@@ -32,7 +32,7 @@ O(1), as the paper's method does.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,6 +43,7 @@ from repro.core.query import RangeQuery, Workload, as_workload
 from repro.storage.blockstore import BlockStore
 
 REWARDS = ("sp", "gc", "lc")
+REWARD_BLOCK_SIZE = 8  # block capacity of the SP reward's sampled store
 
 
 def _fill_curve(prefix_msb: list[int], d: int, ell: int) -> BMC:
@@ -71,11 +72,8 @@ class BMTreeStats:
 
     reward_seconds: float = 0.0
     n_reward_evals: int = 0
-    fit_seconds: float = 0.0
-    n_nodes: int = 0
     n_leaves: int = 0
     sample_size: int = 0
-    choices: list[int] = field(default_factory=list)
 
 
 class BMTreeLite:
@@ -88,7 +86,6 @@ class BMTreeLite:
         h: int = 6,
         reward: str = "sp",
         sample_rate: float = 1e-3,
-        reward_block_size: int = 8,
         seed: int = 0,
     ):
         if reward not in REWARDS:
@@ -100,7 +97,6 @@ class BMTreeLite:
         self.d, self.ell, self.h = d, ell, h
         self.reward = reward
         self.sample_rate = sample_rate
-        self.reward_block_size = reward_block_size
         self.seed = seed
         self.leaves: list[_Leaf] = []  # in curve order
         # the bit each internal node splits on, as ``dim * ell + bit``, by
@@ -117,7 +113,7 @@ class BMTreeLite:
                 if len(sample) == 0:
                     return [0.0] * len(curves)
                 return [
-                    BlockStore(sample, s.values(sample), self.reward_block_size)
+                    BlockStore(sample, s.values(sample), REWARD_BLOCK_SIZE)
                     .avg_block_accesses(queries)
                     for s in curves
                 ]
@@ -138,7 +134,6 @@ class BMTreeLite:
 
         ``points`` is the full dataset; the SP reward samples
         ``sample_rate`` of it (the paper's ρ), GC/LC ignore the data."""
-        t0 = time.perf_counter()
         pts = np.asarray(points, dtype=np.uint64)
         rng = np.random.default_rng(self.seed)
         if self.reward == "sp" and len(pts):
@@ -158,7 +153,6 @@ class BMTreeLite:
             sample=sample,
             node=1,
         )
-        self.stats.fit_seconds = time.perf_counter() - t0
         self.stats.n_leaves = len(self.leaves)
         return self
 
@@ -171,7 +165,6 @@ class BMTreeLite:
         if depth >= self.h or not candidates:
             self.leaves.append(_Leaf(lo, hi, _fill_curve(prefix, self.d, self.ell)))
             return
-        self.stats.n_nodes += 1
         # clip the workload to this subspace, dropping disjoint queries
         qlo = np.maximum(queries.lo, lo)
         qhi = np.minimum(queries.hi, hi)
@@ -183,7 +176,6 @@ class BMTreeLite:
             curves = [_fill_curve(prefix + [i], self.d, self.ell) for i in candidates]
             scores = self._scores(curves, local_q, sample)
             best = candidates[int(np.argmin(scores))]
-        self.stats.choices.append(best)
         # split on the most significant unused bit of `best`
         bit = self.ell - 1 - used[best]
         self._splits[node] = best * self.ell + bit

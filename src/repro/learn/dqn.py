@@ -4,8 +4,8 @@ The paper trains its DQN with TensorFlow, which is unavailable offline;
 this is a from-scratch numpy substitute (documented in DESIGN.md): a
 one-hidden-layer MLP Q-network trained by Adam on minibatches sampled
 from a replay memory.  Same semantics as [Mnih et al. 2013] as used by
-Algorithm 3; the ε-greedy choice among valid swaps is LBMC's
-``_select_action``.
+Algorithm 3; the ε-greedy choice among valid swaps, the TD step on a
+replay minibatch and the DQN's settings live in LBMC (``lbmc.py``).
 """
 from __future__ import annotations
 
@@ -88,42 +88,3 @@ class QNetwork:
             m_hat = self._m[i] / (1 - beta1**self._t)
             v_hat = self._v[i] / (1 - beta2**self._t)
             p -= self.lr * m_hat / (np.sqrt(v_hat) + eps)
-
-
-class DQNAgent:
-    """DQN with replay: the Q-network and its training, plus the ε and
-    random stream that LBMC's action selection reads."""
-
-    def __init__(
-        self,
-        n_in: int,
-        n_actions: int,
-        hidden: int = 64,
-        lr: float = 1e-3,
-        gamma: float = 0.9,
-        epsilon: float = 0.2,
-        replay_capacity: int = 2048,
-        batch_size: int = 32,
-        seed: int = 0,
-    ):
-        self.net = QNetwork(n_in, n_actions, hidden=hidden, lr=lr, seed=seed)
-        self.memory = ReplayMemory(replay_capacity, seed=seed + 1)
-        self.gamma = gamma
-        self.epsilon = epsilon
-        self.batch_size = batch_size
-        self._rng = np.random.default_rng(seed + 2)
-
-    def observe(self, state, action, reward, next_state) -> float | None:
-        """Store the transition and train on one replay minibatch
-        (Algorithm 3 lines 7-8); returns the loss when training ran."""
-        self.memory.push(state, action, reward, next_state)
-        if len(self.memory) < self.batch_size:
-            return None
-        batch = self.memory.sample(self.batch_size)
-        states = np.stack([b[0] for b in batch])
-        actions = np.array([b[1] for b in batch])
-        rewards = np.array([b[2] for b in batch])
-        next_states = np.stack([b[3] for b in batch])
-        next_q = self.net.forward(next_states).max(axis=1)
-        targets = rewards + self.gamma * next_q
-        return self.net.train_step(states, actions, targets)

@@ -19,7 +19,17 @@ import numpy as np
 
 from repro.core.bmc import BMC
 from repro.core.cost_model import WorkloadCostEstimator
-from .dqn import DQNAgent
+from .dqn import QNetwork, ReplayMemory
+
+# ε of the first training episode, decayed linearly to EPSILON_END by the
+# last: explore early, exploit late
+EPSILON = 0.9
+EPSILON_END = 0.05
+HIDDEN = 64  # Q-network hidden units
+LR = 3e-3  # Adam learning rate
+GAMMA = 0.9  # discount of the long-term value
+REPLAY_CAPACITY = 2048
+BATCH_SIZE = 32  # replay minibatch; training starts once the memory holds one
 
 
 def encode(sigma: BMC) -> np.ndarray:
@@ -36,6 +46,31 @@ def valid_action_mask(sigma: BMC) -> np.ndarray:
     return slots[:-1] != slots[1:]
 
 
+def _select_action(rng, net: QNetwork, epsilon: float, sigma, c_t, c1, cost) -> int:
+    """Action selection integrating the paper's two approaches (§5).
+
+    With probability ε: a random valid swap (exploration).  Otherwise
+    (exploitation): one-step lookahead — Section 5 defines
+    exploitation as "select a position that leads to the largest
+    query cost reduction"; each candidate swap's immediate reward is
+    an O(1) cost-model call, and the learned Q-network supplies the
+    long-term value of the resulting state, so the choice maximizes
+    ``immediate reward + GAMMA * max_a' Q(s', a')``.
+    """
+    valid = np.flatnonzero(valid_action_mask(sigma))
+    if rng.random() < epsilon:
+        return int(rng.choice(valid))
+    next_states = []
+    immediate = []
+    for a in valid:
+        nxt = sigma.swap(int(a) + 1)
+        immediate.append((c_t - cost(nxt)) / c1 if c1 else 0.0)
+        next_states.append(encode(nxt))
+    future = net.forward(np.stack(next_states)).max(axis=1)
+    score = np.asarray(immediate) + GAMMA * future
+    return int(valid[int(np.argmax(score))])
+
+
 @dataclass
 class LBMCResult:
     """Outcome of one LBMC run."""
@@ -44,7 +79,6 @@ class LBMCResult:
     best_cost: int
     initial_cost: int
     cost_history: list[float] = field(default_factory=list)  # C_t / C_1 per step
-    learn_seconds: float = 0.0
     reward_seconds: float = 0.0
     n_reward_evals: int = 0
 
@@ -52,61 +86,16 @@ class LBMCResult:
 class LBMC:
     """Algorithm 3: deep-Q-learning over adjacent bit swaps."""
 
-    def __init__(
-        self,
-        estimator: WorkloadCostEstimator,
-        episodes: int = 12,
-        steps: int | None = None,
-        epsilon: float = 0.9,
-        epsilon_end: float = 0.05,
-        hidden: int = 64,
-        lr: float = 3e-3,
-        gamma: float = 0.9,
-        replay_capacity: int = 2048,
-        batch_size: int = 32,
-        seed: int = 0,
-    ):
+    def __init__(self, estimator: WorkloadCostEstimator, episodes: int = 12, seed: int = 0):
         self.est = estimator
         self.episodes = episodes
-        # default episode length: enough swaps to move any bit anywhere
-        self.steps = steps if steps is not None else 3 * estimator.d * estimator.ell
-        self.epsilon = epsilon
-        self.epsilon_end = epsilon_end
-        self.hidden = hidden
-        self.lr = lr
-        self.gamma = gamma
-        self.replay_capacity = replay_capacity
-        self.batch_size = batch_size
         self.seed = seed
-
-    def _select_action(self, agent, sigma, c_t, c1, mask, cost) -> int:
-        """Action selection integrating the paper's two approaches (§5).
-
-        With probability ε: a random valid swap (exploration).  Otherwise
-        (exploitation): one-step lookahead — Section 5 defines
-        exploitation as "select a position that leads to the largest
-        query cost reduction"; each candidate swap's immediate reward is
-        an O(1) cost-model call, and the learned Q-network supplies the
-        long-term value of the resulting state, so the choice maximizes
-        ``immediate reward + gamma * max_a' Q(s', a')``.
-        """
-        valid = np.flatnonzero(mask)
-        if agent._rng.random() < agent.epsilon:
-            return int(agent._rng.choice(valid))
-        next_states = []
-        immediate = []
-        for a in valid:
-            nxt = sigma.swap(int(a) + 1)
-            immediate.append((c_t - cost(nxt)) / c1 if c1 else 0.0)
-            next_states.append(encode(nxt))
-        future = agent.net.forward(np.stack(next_states)).max(axis=1)
-        score = np.asarray(immediate) + agent.gamma * future
-        return int(valid[int(np.argmax(score))])
 
     def learn(
         self, sigma1: BMC | None = None, warm_start: list[BMC] | None = None
     ) -> LBMCResult:
-        """Run M episodes x T steps from ``sigma1`` (default: ZC).
+        """Run M episodes x T steps from ``sigma1`` (default: ZC), then
+        one pure-exploitation episode from the best curve found.
 
         ``warm_start`` optionally supplies extra initial candidates; the
         cheapest one (under the O(1) cost model — a few microseconds per
@@ -122,18 +111,10 @@ class LBMC:
             raise ValueError("initial BMC shape mismatch")
         if warm_start:
             sigma1, _ = self.est.best_of([sigma1, *warm_start])
-        t0 = time.perf_counter()
-        agent = DQNAgent(
-            n_in=sigma1.nbits * d,
-            n_actions=sigma1.nbits - 1,
-            hidden=self.hidden,
-            lr=self.lr,
-            gamma=self.gamma,
-            epsilon=self.epsilon,
-            replay_capacity=self.replay_capacity,
-            batch_size=self.batch_size,
-            seed=self.seed,
-        )
+        steps = 3 * d * ell  # enough swaps to move any bit anywhere
+        net = QNetwork(sigma1.nbits * d, sigma1.nbits - 1, hidden=HIDDEN, lr=LR, seed=self.seed)
+        memory = ReplayMemory(REPLAY_CAPACITY, seed=self.seed + 1)
+        rng = np.random.default_rng(self.seed + 2)
         reward_sec = 0.0
         n_evals = 0
 
@@ -148,42 +129,40 @@ class LBMC:
         c1 = cost(sigma1)
         best, best_cost = sigma1, c1
         history: list[float] = []
-        for ep in range(self.episodes):
-            # linear ε decay across episodes: explore early, exploit late
-            frac = ep / max(1, self.episodes - 1)
-            agent.epsilon = self.epsilon + (self.epsilon_end - self.epsilon) * frac
-            sigma, c_t = sigma1, c1
-            state = encode(sigma)
-            for _ in range(self.steps):
-                mask = valid_action_mask(sigma)
-                a = self._select_action(agent, sigma, c_t, c1, mask, cost)
+
+        def rollout(sigma: BMC, c_t: int, epsilon: float, train: bool) -> None:
+            """One episode of ``steps`` swaps, keeping the best curve seen;
+            when training, store each transition and take one TD step on a
+            replay minibatch (Algorithm 3 lines 5-8)."""
+            nonlocal best, best_cost
+            state = encode(sigma) if train else None
+            for _ in range(steps):
+                a = _select_action(rng, net, epsilon, sigma, c_t, c1, cost)
                 nxt = sigma.swap(a + 1)  # positions are 1-indexed
                 c_next = cost(nxt)
-                r = (c_t - c_next) / c1 if c1 else 0.0
-                next_state = encode(nxt)
-                agent.observe(state, a, r, next_state)
-                sigma, c_t, state = nxt, c_next, next_state
+                if train:
+                    next_state = encode(nxt)
+                    memory.push(state, a, (c_t - c_next) / c1 if c1 else 0.0, next_state)
+                    if len(memory) >= BATCH_SIZE:
+                        batch = zip(*memory.sample(BATCH_SIZE))
+                        states, actions, rewards, next_states = map(np.array, batch)
+                        targets = rewards + GAMMA * net.forward(next_states).max(axis=1)
+                        net.train_step(states, actions, targets)
+                    state = next_state
+                sigma, c_t = nxt, c_next
                 history.append(c_t / c1 if c1 else 1.0)
                 if c_t < best_cost:
                     best, best_cost = sigma, c_t
-        # final pure-exploitation rollout from the best curve found:
-        # follow the lookahead policy for one episode, keeping improvements
-        agent.epsilon = 0.0
-        sigma, c_t = best, best_cost
-        for _ in range(self.steps):
-            mask = valid_action_mask(sigma)
-            a = self._select_action(agent, sigma, c_t, c1, mask, cost)
-            sigma = sigma.swap(a + 1)
-            c_t = cost(sigma)
-            history.append(c_t / c1 if c1 else 1.0)
-            if c_t < best_cost:
-                best, best_cost = sigma, c_t
+
+        for ep in range(self.episodes):
+            frac = ep / max(1, self.episodes - 1)
+            rollout(sigma1, c1, EPSILON + (EPSILON_END - EPSILON) * frac, train=True)
+        rollout(best, best_cost, 0.0, train=False)
         return LBMCResult(
             best=best,
             best_cost=best_cost,
             initial_cost=c1,
             cost_history=history,
-            learn_seconds=time.perf_counter() - t0,
             reward_seconds=reward_sec,
             n_reward_evals=n_evals,
         )

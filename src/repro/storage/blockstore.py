@@ -22,7 +22,7 @@ import numpy as np
 
 from repro.core.query import RangeQuery, Workload, as_workload
 
-DEFAULT_BLOCK_SIZE = 204
+DEFAULT_BLOCK_SIZE = 204  # ~8 KB PostgreSQL page of 2-D point tuples
 #: Bound on the points one pass of queries may scan (queries * padded
 #: points, if every block's box met every query), which sets how many
 #: queries share a pass.

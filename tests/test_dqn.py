@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from repro.learn.dqn import DQNAgent, QNetwork, ReplayMemory
+from repro.learn.dqn import QNetwork, ReplayMemory
 
 
 class TestReplayMemory:
@@ -52,12 +52,3 @@ class TestQNetwork:
         assert abs(after[2] - 3.0) < 0.5
         moved = abs(after - before)
         assert moved[2] > 0.5
-
-
-class TestAgent:
-    def test_observe_trains_after_warmup(self):
-        agent = DQNAgent(4, 2, batch_size=8, seed=0)
-        s = np.zeros(4)
-        losses = [agent.observe(s, 0, 1.0, s) for _ in range(20)]
-        assert all(l is None for l in losses[:7])
-        assert any(l is not None for l in losses[8:])

@@ -39,7 +39,7 @@ class TestThreeDimensions:
 
     def test_lbmc_runs_d3(self):
         est = WorkloadCostEstimator(self.queries, 3, self.ell)
-        res = LBMC(est, episodes=2, steps=10, seed=0).learn()
+        res = LBMC(est, episodes=2, seed=0).learn()
         assert res.best.d == 3 and res.best_cost <= res.initial_cost
 
     def test_quilts_runs_d3(self):

@@ -75,6 +75,7 @@ class TestLayoutDemo:
             spark, n_pts=5_000, ell=10, out_dir=str(tmp_path)
         )
         assert best.d == 2 and best.ell == 10
+        assert len({s.slots for s, _ in scores}) == len(scores)
         assert stats["rows_returned"] == returned
         assert all(f <= stats["n_files"] for f in stats["files_read"])
         assert all(r >= k for r, k in zip(stats["rows_read"], returned))

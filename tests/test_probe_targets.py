@@ -68,3 +68,28 @@ def test_block_store_surface_the_benchmark_reads():
     assert store.points.shape == (5, 2)
     assert store.points[:, 0].tolist() == [0, 6, 2, 3, 5]
     assert store.points[:, 1].tolist() == [0, 6, 2, 7, 1]
+
+
+def test_learner_surface_the_benchmark_reads():
+    """``curvebench/local.py`` runs QUILTS, LBMC from the QUILTS winner
+    and BMTree-lite with each reward, and reads these result fields."""
+    from repro.core.bmc import BMC
+    from repro.core.cost_model import WorkloadCostEstimator
+    from repro.learn.bmtree import REWARDS, BMTreeLite
+    from repro.learn.lbmc import LBMC
+    from repro.learn.quilts import quilts
+    from repro.workloads.datasets import make_dataset
+    from repro.workloads.queries import data_following
+
+    points = make_dataset("OSM", 2_000, 8, seed=0)
+    wl = data_following(points, 40, 8, 16, 1 / 4, seed=1)
+    est = WorkloadCostEstimator(wl, 2, 8)
+    qr = quilts(est, wl)
+    assert isinstance(qr.best, BMC) and qr.n_candidates >= 1
+    res = LBMC(est, seed=0).learn(warm_start=[qr.best])
+    assert isinstance(res.best, BMC)
+    assert res.best_cost == est.cost(res.best) <= res.initial_cost
+    assert res.reward_seconds > 0 and res.n_reward_evals > 1
+    for reward in REWARDS:
+        tree = BMTreeLite(2, 8, h=2, reward=reward, sample_rate=0.1, seed=0).fit(points, wl[:20])
+        assert tree.stats.reward_seconds > 0 and tree.stats.n_reward_evals > 0
