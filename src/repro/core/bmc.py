@@ -176,6 +176,10 @@ class BMC:
         if pts.ndim != 2 or pts.shape[1] != self.d:
             raise ValueError(f"expected (n, {self.d}) array, got {pts.shape}")
         cols = np.ascontiguousarray(pts.T, dtype=np.uint64)  # a row per dimension
+        # a negative coordinate cast to uint64 lands above 2^63, so one
+        # bound catches both ends of [0, 2^ell)
+        if cols.size and int(cols.max()) >> self.ell:
+            raise ValueError(f"coordinates outside [0, 2^{self.ell})")
         out = np.zeros(len(pts), dtype=np.uint64)
         for i, j, r, k in self.runs:
             term = cols[i] >> np.uint64(j)

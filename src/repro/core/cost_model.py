@@ -11,14 +11,13 @@ from __future__ import annotations
 from .bmc import BMC
 from .global_cost import GlobalCostEstimator, naive_global_cost
 from .local_cost import PatternTables, naive_local_cost
-from .query import RangeQuery, Workload, as_workload
+from .query import Workload
 
 
 class WorkloadCostEstimator:
     """O(n)-init, O(1)-per-BMC estimator of ``C = Cg(Q) * Cl(Q)``."""
 
-    def __init__(self, queries: Workload | list[RangeQuery], d: int, ell: int):
-        queries = as_workload(queries)
+    def __init__(self, queries: Workload, d: int, ell: int):
         self.d, self.ell, self.n = d, ell, len(queries)
         self.gc = GlobalCostEstimator(queries, d, ell)
         self.lc = PatternTables(queries, d, ell)
@@ -47,6 +46,8 @@ class WorkloadCostEstimator:
     @staticmethod
     def merge(parts: list["WorkloadCostEstimator"]) -> "WorkloadCostEstimator":
         """Merge partition-local estimators (additive init statistics)."""
+        if not parts:
+            raise ValueError("nothing to merge")
         out = object.__new__(WorkloadCostEstimator)
         out.d, out.ell = parts[0].d, parts[0].ell
         out.n = sum(p.n for p in parts)
@@ -55,6 +56,6 @@ class WorkloadCostEstimator:
         return out
 
 
-def naive_cost(sigma: BMC, queries: Workload | list[RangeQuery]) -> int:
+def naive_cost(sigma: BMC, queries: Workload) -> int:
     """Baseline combined cost: NGC * NLC, no precomputation."""
     return naive_global_cost(sigma, queries) * naive_local_cost(sigma, queries)

@@ -29,7 +29,7 @@ def global_cost_single(sigma: BMC, q: RangeQuery) -> int:
     return sigma.value(q.hi) - sigma.value(q.lo) + 1
 
 
-def naive_global_cost(sigma: BMC, queries: Workload | list[RangeQuery]) -> int:
+def naive_global_cost(sigma: BMC, queries: Workload) -> int:
     """NGC baseline: O(n * d * ell) per candidate BMC."""
     total = 0
     for q in queries:
@@ -58,12 +58,8 @@ class GlobalCostEstimator:
     matching shape in O(d * ell).
     """
 
-    def __init__(self, queries: Workload | list[RangeQuery], d: int, ell: int):
-        lo, hi = queries_to_arrays(queries)
-        if lo.shape[1] != d:
-            raise ValueError(f"workload is {lo.shape[1]}-dimensional, expected {d}")
-        if np.any(hi >= (1 << ell)):
-            raise ValueError(f"query coordinates exceed 2^{ell} - 1")
+    def __init__(self, queries: Workload, d: int, ell: int):
+        lo, hi = queries_to_arrays(queries, d, ell)
         self.d = d
         self.ell = ell
         self.n = len(lo)

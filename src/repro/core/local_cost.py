@@ -25,7 +25,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bmc import BMC, MAX_TOTAL_BITS
+from .bmc import BMC
 from .patterns import count_drop, count_rise, drop_matrix, rise_matrix
 from .query import RangeQuery, Workload, queries_to_arrays
 
@@ -50,7 +50,7 @@ def exact_edges(sigma: BMC, q: RangeQuery) -> int:
     return int(np.count_nonzero(np.diff(vals) == 1))
 
 
-def naive_local_cost(sigma: BMC, queries: Workload | list[RangeQuery]) -> int:
+def naive_local_cost(sigma: BMC, queries: Workload) -> int:
     """NLC: total number of query sections, brute force per query."""
     return sum(exact_sections(sigma, q) for q in queries)
 
@@ -195,14 +195,8 @@ class PatternTables:
     (Algorithm 2, "LC").
     """
 
-    def __init__(self, queries: Workload | list[RangeQuery], d: int, ell: int):
-        lo, hi = queries_to_arrays(queries)
-        if lo.shape[1] != d:
-            raise ValueError(f"workload is {lo.shape[1]}-dimensional, expected {d}")
-        if np.any(hi >= (1 << ell)):
-            raise ValueError(f"query coordinates exceed 2^{ell} - 1")
-        if d * ell > MAX_TOTAL_BITS:
-            raise ValueError(f"d*ell = {d * ell} exceeds {MAX_TOTAL_BITS} bits")
+    def __init__(self, queries: Workload, d: int, ell: int):
+        lo, hi = queries_to_arrays(queries, d, ell)
         self.d, self.ell, self.n = d, ell, len(lo)
         # V = sum of cell counts, BMC independent (Eq. 10 first term).
         self.total_cells = total_cells(lo, hi)

@@ -6,10 +6,11 @@ indices), not raw data values.  ``n_cells`` is the paper's ``V(q)``.
 
 A workload of ``n`` queries is a :class:`Workload`: two validated
 ``(n, d)`` int64 arrays ``lo`` and ``hi``, which the estimators, the
-learners and the Spark layer read directly.  :class:`RangeQuery` is the
-scalar helper for one query (brute-force baselines, the paper's worked
-examples, block-store queries); indexing or iterating a ``Workload``
-yields them.
+learners and the Spark layer read directly; :func:`queries_to_arrays`
+checks them against the grid an estimator is fitted on.
+:class:`RangeQuery` is the scalar helper for one query (brute-force
+baselines, the paper's worked examples, block-store queries); indexing
+or iterating a ``Workload`` yields them.
 """
 from __future__ import annotations
 
@@ -17,6 +18,8 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
+
+from .bmc import MAX_TOTAL_BITS
 
 
 @dataclass(frozen=True)
@@ -112,25 +115,21 @@ class Workload:
         return f"Workload(n={len(self)}, d={self.d})"
 
 
-def queries_to_arrays(queries) -> tuple[np.ndarray, np.ndarray]:
-    """The (n, d) ``lo`` and ``hi`` arrays of a workload.
+def queries_to_arrays(queries: Workload, d: int, ell: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (n, d) ``lo`` and ``hi`` arrays of a workload fitted on a
+    ``d``-dimensional grid of ``ell`` bits per dimension.
 
-    A :class:`Workload`'s arrays are returned as they are; a list of
-    :class:`RangeQuery` is stacked once."""
+    The one place a workload's shape is checked: it is non-empty, has
+    ``d`` columns and coordinates below ``2^ell``, and ``d * ell`` fits a
+    BMC."""
+    if not isinstance(queries, Workload):
+        raise TypeError(f"expected a Workload, got {type(queries).__name__}")
     if not len(queries):
         raise ValueError("empty workload")
-    if isinstance(queries, Workload):
-        return queries.lo, queries.hi
-    d = queries[0].d
-    if any(q.d != d for q in queries):
-        raise ValueError("mixed dimensionality workload")
-    lo = np.array([q.lo for q in queries], dtype=np.int64)
-    hi = np.array([q.hi for q in queries], dtype=np.int64)
-    return lo, hi
-
-
-def as_workload(queries) -> Workload:
-    """``queries`` as a :class:`Workload`, converting a list only once."""
-    if isinstance(queries, Workload):
-        return queries
-    return Workload(*queries_to_arrays(queries))
+    if queries.d != d:
+        raise ValueError(f"workload is {queries.d}-dimensional, expected {d}")
+    if d * ell > MAX_TOTAL_BITS:
+        raise ValueError(f"d*ell = {d * ell} exceeds {MAX_TOTAL_BITS} bits")
+    if np.any(queries.hi >= (1 << ell)):
+        raise ValueError(f"query coordinates exceed 2^{ell} - 1")
+    return queries.lo, queries.hi

@@ -16,6 +16,7 @@ import numpy as np
 from repro.core.bmc import BMC
 from repro.core.cost_model import WorkloadCostEstimator
 from repro.core.hilbert import hilbert_values
+from repro.core.query import Workload
 from repro.learn.bmtree import BMTreeLite
 from repro.learn.lbmc import LBMC
 from repro.learn.quilts import design_candidates, quilts
@@ -30,7 +31,7 @@ TECHNIQUES = ("LBMC", "BMTree", "QUILTS", "ZC", "HC", "LC")
 def order_values(
     technique: str,
     points: np.ndarray,
-    learn_q,
+    learn_q: Workload,
     ell: int,
     h: int = 6,
     sample_rate: float = 1e-3,
@@ -40,39 +41,38 @@ def order_values(
     # BMTree defaults follow the paper's §6.4 star point: rho = 1e-3,
     # h proportional to the paper's 8-of-20 bits (6 of 16 here).
     """Curve values of ``points`` under the given ordering technique."""
+    if technique not in TECHNIQUES:
+        raise ValueError(f"unknown technique {technique!r}")
     if technique == "ZC":
         return BMC.zc(2, ell).values(points)
     if technique == "LC":
         return BMC.lex(2, ell).values(points)
     if technique == "HC":
         return hilbert_values(points, ell)
-    est = WorkloadCostEstimator(learn_q, 2, ell)
-    if technique == "QUILTS":
-        return quilts(est, learn_q).best.values(points)
-    if technique == "LBMC":
-        res = LBMC(est, episodes=lbmc_episodes, seed=seed).learn(
-            warm_start=design_candidates(learn_q, 2, ell)
-        )
-        return res.best.values(points)
     if technique == "BMTree":
         tree = BMTreeLite(
             2, ell, h=h, reward="sp", sample_rate=sample_rate, seed=seed
         ).fit(points, learn_q)
         return tree.values(points)
-    raise ValueError(f"unknown technique {technique!r}")
+    est = WorkloadCostEstimator(learn_q, 2, ell)
+    if technique == "QUILTS":
+        return quilts(est, learn_q).best.values(points)
+    res = LBMC(est, episodes=lbmc_episodes, seed=seed).learn(
+        warm_start=design_candidates(learn_q, 2, ell)
+    )
+    return res.best.values(points)
 
 
 def block_accesses_by_technique(
     points: np.ndarray,
-    learn_q,
-    test_q,
+    learn_q: Workload,
+    test_q: Workload,
     ell: int,
-    techniques=TECHNIQUES,
     block_size: int = DEFAULT_BLOCK_SIZE,
     seed: int = 0,
 ) -> dict[str, float]:
     out = {}
-    for t in techniques:
+    for t in TECHNIQUES:
         vals = order_values(t, points, learn_q, ell, seed=seed)
         store = BlockStore(points, vals, block_size)
         out[t] = round(store.avg_block_accesses(test_q), 2)

@@ -39,7 +39,7 @@ import numpy as np
 from repro.core.bmc import BMC, round_robin
 from repro.core.global_cost import GlobalCostEstimator
 from repro.core.local_cost import PatternTables
-from repro.core.query import RangeQuery, Workload, as_workload
+from repro.core.query import Workload, queries_to_arrays
 from repro.storage.blockstore import BlockStore
 
 REWARDS = ("sp", "gc", "lc")
@@ -127,13 +127,12 @@ class BMTreeLite:
             self.stats.n_reward_evals += len(curves)
 
     # -- construction ------------------------------------------------------
-    def fit(
-        self, points: np.ndarray, queries: Workload | list[RangeQuery]
-    ) -> "BMTreeLite":
+    def fit(self, points: np.ndarray, queries: Workload) -> "BMTreeLite":
         """Learn the piecewise curve from data + workload.
 
         ``points`` is the full dataset; the SP reward samples
         ``sample_rate`` of it (the paper's ρ), GC/LC ignore the data."""
+        queries_to_arrays(queries, self.d, self.ell)  # the workload fits the grid
         pts = np.asarray(points, dtype=np.uint64)
         rng = np.random.default_rng(self.seed)
         if self.reward == "sp" and len(pts):
@@ -149,7 +148,7 @@ class BMTreeLite:
             lo=(0,) * self.d,
             hi=(top,) * self.d,
             prefix=[],
-            queries=as_workload(queries),
+            queries=queries,
             sample=sample,
             node=1,
         )
@@ -198,8 +197,6 @@ class BMTreeLite:
         if not self.leaves:
             raise RuntimeError("fit() first")
         pts = np.asarray(points, dtype=np.uint64)
-        if np.any(pts >= np.uint64(1 << self.ell)):
-            raise ValueError("points outside the grid domain")
         # route every point down the tree by the bits its path splits on,
         # read from the point's coordinates laid side by side in one word
         word = np.zeros(len(pts), dtype=np.uint64)
@@ -211,7 +208,8 @@ class BMTreeLite:
             node = (node << one) | ((word >> self._splits[node]) & one)
         # leaf numbers in curve order; 8- and 16-bit keys sort by radix
         leaf = (node - np.uint64(1 << self.h)).astype(np.min_scalar_type(len(self.leaves) - 1))
-        # then evaluate each leaf's BMC on its own points
+        # then evaluate each leaf's BMC on its own points; every point
+        # reaches one, and ``BMC.values`` rejects points off the grid
         order = np.argsort(leaf, kind="stable")
         counts = np.bincount(leaf, minlength=len(self.leaves))
         ends = np.cumsum(counts)

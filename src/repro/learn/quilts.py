@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 from repro.core.bmc import BMC, round_robin
 from repro.core.cost_model import WorkloadCostEstimator
-from repro.core.query import RangeQuery, Workload, queries_to_arrays
+from repro.core.query import Workload, queries_to_arrays
 
 
 def _grouped(counts: list[int], order: list[int]) -> list[int]:
@@ -32,11 +32,9 @@ def _grouped(counts: list[int], order: list[int]) -> list[int]:
     return out
 
 
-def design_candidates(
-    queries: Workload | list[RangeQuery], d: int, ell: int
-) -> list[BMC]:
+def design_candidates(queries: Workload, d: int, ell: int) -> list[BMC]:
     """The QUILTS candidate family for a workload (deduplicated)."""
-    lo, hi = queries_to_arrays(queries)
+    lo, hi = queries_to_arrays(queries, d, ell)
     extents = (hi - lo + 1).astype(float)
     a = [min(ell, max(0, int(round(math.log2(max(1.0, e)))))) for e in extents.mean(axis=0)]
     low = round_robin(a)  # LSB-first low part: one query-sized tile
@@ -68,9 +66,7 @@ class QuiltsResult:
     learn_seconds: float
 
 
-def quilts(
-    estimator: WorkloadCostEstimator, queries: Workload | list[RangeQuery]
-) -> QuiltsResult:
+def quilts(estimator: WorkloadCostEstimator, queries: Workload) -> QuiltsResult:
     """Design candidates from the workload shape and pick the cheapest."""
     t0 = time.perf_counter()
     cands = design_candidates(queries, estimator.d, estimator.ell)

@@ -23,20 +23,22 @@ import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 
 from repro.core.cost_model import WorkloadCostEstimator
-from repro.core.query import RangeQuery, Workload, queries_to_arrays
+from repro.core.query import Workload
 
 _PARTIAL_SCHEMA = "payload binary"
 
 
 def queries_to_spark(
-    spark: SparkSession, queries: Workload | list[RangeQuery], n_partitions: int = 8
+    spark: SparkSession, queries: Workload, n_partitions: int = 8
 ) -> DataFrame:
-    """Workload as a DataFrame with lo_<i>/hi_<i> integer columns."""
-    lo, hi = queries_to_arrays(queries)
+    """Workload as a DataFrame with lo_<i>/hi_<i> integer columns; the
+    grid is checked where the DataFrame is fitted."""
+    if not len(queries):
+        raise ValueError("empty workload")
     data = {}
-    for i in range(lo.shape[1]):
-        data[f"lo_{i}"] = lo[:, i]
-        data[f"hi_{i}"] = hi[:, i]
+    for i in range(queries.d):
+        data[f"lo_{i}"] = queries.lo[:, i]
+        data[f"hi_{i}"] = queries.hi[:, i]
     return spark.createDataFrame(pd.DataFrame(data)).repartition(n_partitions)
 
 

@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from repro.core.query import RangeQuery, Workload, as_workload
+from repro.core.query import RangeQuery, Workload
 
 DEFAULT_BLOCK_SIZE = 204  # ~8 KB PostgreSQL page of 2-D point tuples
 #: Bound on the points one pass of queries may scan (queries * padded
@@ -75,7 +75,7 @@ class BlockStore:
         self.box_lo = np.asfortranarray(np.minimum.reduceat(self.points, starts, axis=0))
         self.box_hi = np.asfortranarray(np.maximum.reduceat(self.points, starts, axis=0))
 
-    def accesses(self, queries: Workload | list[RangeQuery]) -> Accesses:
+    def accesses(self, queries: Workload) -> Accesses:
         """Execute every query of a workload; per-query rows, blocks,
         fetched and examined.
 
@@ -83,8 +83,7 @@ class BlockStore:
         the B+-tree fetches each such block exactly once regardless of
         how many query sections land in it.  Only the blocks whose box
         meets a query are scanned, point by point, for matches."""
-        wl = as_workload(queries)
-        return self._count(wl.lo, wl.hi)
+        return self._count(queries.lo, queries.hi)
 
     def _count(self, lo: np.ndarray, hi: np.ndarray) -> Accesses:
         """``accesses`` over valid (m, d) int64 bounds (0 <= lo <= hi)."""
@@ -134,7 +133,7 @@ class BlockStore:
         acc = self._one(q)
         return int(acc.rows[0]), int(acc.blocks[0])
 
-    def avg_block_accesses(self, queries: Workload | list[RangeQuery]) -> float:
+    def avg_block_accesses(self, queries: Workload) -> float:
         """Average blocks accessed per query — the paper's core metric."""
         if not len(queries):
             raise ValueError("empty workload")

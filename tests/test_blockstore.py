@@ -88,7 +88,7 @@ class TestQuery:
         pts = grid_points(3)
         sigma = BMC.zc(2, 3)
         store = BlockStore(pts, sigma.values(pts))
-        qs = [RangeQuery((0, 0), (1, 1)), RangeQuery((4, 4), (7, 7))]
+        qs = Workload([[0, 0], [4, 4]], [[1, 1], [7, 7]])
         avg = store.avg_block_accesses(qs)
         assert avg == (store.query(qs[0])[1] + store.query(qs[1])[1]) / 2
 
@@ -96,7 +96,7 @@ class TestQuery:
         pts = grid_points(2)
         store = BlockStore(pts, BMC.zc(2, 2).values(pts))
         with pytest.raises(ValueError):
-            store.avg_block_accesses([])
+            store.avg_block_accesses(Workload(np.zeros((0, 2)), np.zeros((0, 2))))
 
 
 class TestPrecision:
@@ -149,15 +149,17 @@ def stores(draw):
     mask_entries = draw(st.integers(1, 12 * max(1, n_blocks * block_size)))
     corner = st.lists(st.integers(0, top + 2), min_size=d, max_size=d)
     drawn = [
-        RangeQuery(tuple(map(min, a, b)), tuple(map(max, a, b)))
+        (tuple(map(min, a, b)), tuple(map(max, a, b)))
         for a, b in draw(st.lists(st.tuples(corner, corner), max_size=8))
     ]
     fixed = [
-        RangeQuery((top + 1,) * d, (top + 2,) * d),  # nothing
-        RangeQuery((0,) * d, (top,) * d),  # everything
-        RangeQuery((0,) * d, (0,) * d),  # the origin
+        ((top + 1,) * d, (top + 2,) * d),  # nothing
+        ((0,) * d, (top,) * d),  # everything
+        ((0,) * d, (0,) * d),  # the origin
     ]
-    return pts, vals, block_size, mask_entries, fixed + drawn
+    boxes = fixed + drawn
+    queries = Workload([lo for lo, _ in boxes], [hi for _, hi in boxes])
+    return pts, vals, block_size, mask_entries, queries
 
 
 def brute_force(pts, vals, block_size, q):
@@ -186,7 +188,7 @@ class TestAgainstBruteForce:
         assert store.points.shape == pts.shape
         assert np.array_equal(store.points, pts[order])
         with mock.patch.object(blockstore, "_MASK_ENTRIES", mask_entries):
-            acc = store.accesses(Workload([q.lo for q in queries], [q.hi for q in queries]))
+            acc = store.accesses(queries)
         assert acc.rows.dtype == acc.blocks.dtype == acc.examined.dtype == np.int64
         assert acc.rows.tolist() == [r for r, _, _, _ in ref]
         assert acc.blocks.tolist() == [b for _, b, _, _ in ref]

@@ -108,6 +108,15 @@ class TestValue:
         with pytest.raises(ValueError):
             sigma.value((0, 1, 2))
 
+    @pytest.mark.parametrize("point", [[16, 0], [0, 16], [-1, 0], [0, -1], [1 << 40, 3]])
+    def test_values_rejects_out_of_range(self, point):
+        # ZC at ell = 4 once wrapped these: [16, 0] to 0, [-1, 0] to 170
+        sigma = BMC.zc(2, 4)
+        with pytest.raises(ValueError, match="outside"):
+            sigma.values(np.array([[3, 5], point]))
+        assert sigma.values(np.array([[15, 15], [0, 0]])).tolist() == [255, 0]
+        assert sigma.values(np.zeros((0, 2), dtype=np.int64)).tolist() == []
+
     def test_large_ell_uint64_boundary(self):
         sigma = BMC.zc(2, 20)  # 40 bits
         top = (1 << 20) - 1

@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from repro.core.bmc import BMC
-from repro.core.query import RangeQuery
+from repro.core.query import RangeQuery, Workload
 from repro.learn.bmtree import BMTreeLite, _fill_curve
 from repro.storage.blockstore import BlockStore
 from repro.workloads.datasets import osm_like, uni
@@ -49,7 +49,7 @@ class TestConstruction:
         grid = np.array(
             [(x, y) for x in range(8) for y in range(8)], dtype=np.uint64
         )
-        queries = [RangeQuery((0, 0), (3, 3)), RangeQuery((4, 2), (6, 7))]
+        queries = Workload([[0, 0], [4, 2]], [[3, 3], [6, 7]])
         tree.fit(grid, queries)
         vals = tree.values(grid)
         assert len(set(vals.tolist())) == 64
@@ -64,8 +64,8 @@ class TestConstruction:
         pts = rng.integers(0, 1 << ell, size=(300, d)).astype(np.uint64)
         lo = rng.integers(0, 1 << ell, size=(20, d))
         hi = np.minimum(lo + 3, (1 << ell) - 1)
-        qs = [RangeQuery(tuple(a), tuple(b)) for a, b in zip(lo.tolist(), hi.tolist())]
-        tree = BMTreeLite(d, ell, h=h, reward=reward, sample_rate=0.2, seed=0).fit(pts, qs)
+        tree = BMTreeLite(d, ell, h=h, reward=reward, sample_rate=0.2, seed=0)
+        tree.fit(pts, Workload(lo, hi))
         assert len(tree.leaves) == 2**h
         expected = []
         for p in pts.tolist():
@@ -80,9 +80,18 @@ class TestConstruction:
 
     def test_out_of_domain_points_rejected(self):
         tree = BMTreeLite(2, 3, h=1, reward="gc")
-        tree.fit(uni(100, 3, 0), [RangeQuery((0, 0), (3, 3))])
+        tree.fit(uni(100, 3, 0), Workload([[0, 0]], [[3, 3]]))
         with pytest.raises(ValueError):
             tree.values(np.array([[100, 0]], dtype=np.uint64))
+
+    @pytest.mark.parametrize("reward", ["sp", "gc"])
+    def test_workload_off_the_grid_rejected(self, reward):
+        tree = BMTreeLite(2, 4, h=2, reward=reward, sample_rate=0.5)
+        pts = uni(50, 4, 0)
+        with pytest.raises(ValueError, match="1-dimensional"):
+            tree.fit(pts, Workload([[1], [3]], [[5], [9]]))
+        with pytest.raises(ValueError, match="exceed"):
+            tree.fit(pts, Workload([[1, 1]], [[16, 2]]))
 
     def test_invalid_params(self):
         with pytest.raises(ValueError):
@@ -114,7 +123,7 @@ class TestRewardAccounting:
         assert tree.stats.sample_size == 100
 
     def test_gc_lc_ignore_data_size(self):
-        qs = [RangeQuery((0, 0), (7, 7))]
+        qs = Workload([[0, 0]], [[7, 7]])
         for reward in ("gc", "lc"):
             tree = BMTreeLite(2, 6, h=2, reward=reward)
             tree.fit(uni(50, 6, 0), qs)

@@ -4,17 +4,18 @@ import pytest
 
 from repro.core.bmc import BMC
 from repro.core.cost_model import WorkloadCostEstimator, naive_cost
-from repro.core.query import RangeQuery
+from repro.core.global_cost import GlobalCostEstimator
+from repro.core.local_cost import PatternTables
+from repro.core.query import Workload
 
 
 def random_workload(rng, n, d, ell, max_edge=6):
     top = (1 << ell) - 1
-    out = []
+    lo, hi = [], []
     for _ in range(n):
-        lo = rng.integers(0, top + 1, d)
-        hi = np.minimum(top, lo + rng.integers(0, max_edge, d))
-        out.append(RangeQuery(tuple(int(x) for x in lo), tuple(int(x) for x in hi)))
-    return out
+        lo.append(rng.integers(0, top + 1, d))
+        hi.append(np.minimum(top, lo[-1] + rng.integers(0, max_edge, d)))
+    return Workload(lo, hi)
 
 
 class TestCombinedCost:
@@ -38,7 +39,7 @@ class TestCombinedCost:
         assert est.cost(best) == cost
 
     def test_best_of_empty_rejected(self):
-        est = WorkloadCostEstimator([RangeQuery((0, 0), (1, 1))], 2, 4)
+        est = WorkloadCostEstimator(Workload([[0, 0]], [[1, 1]]), 2, 4)
         with pytest.raises(ValueError):
             est.best_of([])
 
@@ -56,12 +57,20 @@ class TestCombinedCost:
             sigma = BMC.from_string(s)
             assert merged.cost(sigma) == whole.cost(sigma)
 
+    @pytest.mark.parametrize(
+        "cls", [GlobalCostEstimator, PatternTables, WorkloadCostEstimator], ids=lambda c: c.__name__
+    )
+    def test_merge_nothing_rejected(self, cls):
+        with pytest.raises(ValueError, match="nothing to merge"):
+            cls.merge([])
+
 
 class TestCostDiscriminates:
     def test_query_aligned_curve_wins(self):
         # workload of wide flat queries: a curve keeping x in the low
         # bits must be cheaper than one keeping y in the low bits
-        queries = [RangeQuery((i, j), (i + 14, j)) for i, j in [(0, 3), (8, 9), (16, 40)]]
+        lo = [(0, 3), (8, 9), (16, 40)]
+        queries = Workload(lo, [(i + 14, j) for i, j in lo])
         est = WorkloadCostEstimator(queries, 2, 6)
         x_low = BMC.from_string("YYYYYYXXXXXX")
         y_low = BMC.from_string("XXXXXXYYYYYY")

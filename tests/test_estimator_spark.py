@@ -5,25 +5,24 @@ import pytest
 from repro.core.bmc import BMC
 from repro.core.cost_model import WorkloadCostEstimator
 from repro.core.local_cost import EXACT_FLOAT_CELLS
-from repro.core.query import RangeQuery, Workload
+from repro.core.query import Workload
 from repro.sparkops.estimator import fit_estimator_distributed, queries_to_spark
 
 
 def random_workload(n, d, ell, seed=0, max_edge=8):
     g = np.random.default_rng(seed)
     top = (1 << ell) - 1
-    out = []
+    lo, hi = [], []
     for _ in range(n):
-        lo = g.integers(0, top + 1, d)
-        hi = np.minimum(top, lo + g.integers(0, max_edge, d))
-        out.append(RangeQuery(tuple(int(x) for x in lo), tuple(int(x) for x in hi)))
-    return out
+        lo.append(g.integers(0, top + 1, d))
+        hi.append(np.minimum(top, lo[-1] + g.integers(0, max_edge, d)))
+    return Workload(lo, hi)
 
 
 class TestRoundTrip:
     def test_empty_workload_rejected(self, spark):
         with pytest.raises(ValueError):
-            queries_to_spark(spark, [])
+            queries_to_spark(spark, Workload(np.zeros((0, 2)), np.zeros((0, 2))))
 
 
 class TestDistributedFit:

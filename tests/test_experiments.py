@@ -1,6 +1,8 @@
 """Tests for the experiment harnesses (shape claims at small scale)."""
+import numpy as np
 import pytest
 
+from repro.core.query import Workload
 from repro.experiments import fig9_10, fig11_13, fig14_17, table6, table7
 from repro.experiments.common import render_table, time_call
 
@@ -115,10 +117,9 @@ class TestFig14_17:
                 assert r[t] > 0
 
     def test_unknown_technique_rejected(self):
-        import numpy as np
-
-        with pytest.raises(ValueError):
-            fig14_17.order_values("??", np.zeros((1, 2), dtype=np.uint64), [], 4)
+        learn_q = Workload([[0, 0]], [[3, 3]])
+        with pytest.raises(ValueError, match="unknown technique"):
+            fig14_17.order_values("??", np.zeros((1, 2), dtype=np.uint64), learn_q, 4)
 
     def test_vary_aspect_labels(self):
         rows = fig14_17.vary_aspect(

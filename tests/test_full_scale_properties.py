@@ -17,7 +17,7 @@ from repro.core.cost_model import WorkloadCostEstimator
 from repro.core.global_cost import global_cost_single
 from repro.core.local_cost import EXACT_FLOAT_CELLS, PatternTables, sections_via_patterns
 from repro.core.patterns import drop_matrix, drop_vector, rise_matrix, rise_vector
-from repro.core.query import RangeQuery, Workload
+from repro.core.query import Workload
 
 
 @st.composite
@@ -164,7 +164,7 @@ def test_full_domain_tables_do_not_wrap():
     # 1,000 full-domain queries at d = 3, ell = 20: every edge count is
     # 2^60 - 1 per query, far beyond int64
     top = (1 << 20) - 1
-    tables = PatternTables([RangeQuery((0, 0, 0), (top, top, top))] * 1000, 3, 20)
+    tables = PatternTables(Workload([[0, 0, 0]] * 1000, [[top, top, top]] * 1000), 3, 20)
     zc = BMC.zc(3, 20)
     assert tables.edges(zc) == 1_152_921_504_606_846_975_000
     assert tables.local_cost(zc) == 1000

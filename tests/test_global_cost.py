@@ -8,17 +8,16 @@ from repro.core.global_cost import (
     global_cost_single,
     naive_global_cost,
 )
-from repro.core.query import RangeQuery
+from repro.core.query import RangeQuery, Workload
 
 
 def random_workload(rng, n, d, ell, max_edge=8):
     top = (1 << ell) - 1
-    out = []
+    lo, hi = [], []
     for _ in range(n):
-        lo = rng.integers(0, top + 1, d)
-        hi = np.minimum(top, lo + rng.integers(0, max_edge, d))
-        out.append(RangeQuery(tuple(int(x) for x in lo), tuple(int(x) for x in hi)))
-    return out
+        lo.append(rng.integers(0, top + 1, d))
+        hi.append(np.minimum(top, lo[-1] + rng.integers(0, max_edge, d)))
+    return Workload(lo, hi)
 
 
 class TestSingleQuery:
@@ -63,9 +62,8 @@ class TestNaiveVsEstimator:
             est.cost(BMC.zc(3, 6))
 
     def test_estimator_rejects_oversized_queries(self):
-        q = RangeQuery((0, 0), (64, 64))
         with pytest.raises(ValueError):
-            GlobalCostEstimator([q], 2, 6)
+            GlobalCostEstimator(Workload([[0, 0]], [[64, 64]]), 2, 6)
 
 
 class TestMerge:
@@ -91,7 +89,7 @@ class TestMerge:
 class TestCostOrdering:
     def test_curve_choice_changes_cost(self):
         # a tall thin query should prefer y-major ordering (smaller span)
-        tall = [RangeQuery((5, 0), (5, 63))]  # 1 x 64 query, ell = 6
+        tall = Workload([[5, 0]], [[5, 63]])  # 1 x 64 query, ell = 6
         est = GlobalCostEstimator(tall, 2, 6)
         y_major = BMC.from_string("XXXXXXYYYYYY")  # y contiguous low bits
         x_major = BMC.from_string("YYYYYYXXXXXX")

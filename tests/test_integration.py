@@ -6,7 +6,7 @@ import pytest
 from repro.core.bmc import BMC
 from repro.core.cost_model import WorkloadCostEstimator, naive_cost
 from repro.core.local_cost import exact_sections, sections_via_patterns
-from repro.core.query import RangeQuery
+from repro.core.query import RangeQuery, Workload
 from repro.learn.bmtree import BMTreeLite
 from repro.learn.lbmc import LBMC
 from repro.learn.quilts import design_candidates, quilts
@@ -22,13 +22,11 @@ class TestThreeDimensions:
         g = np.random.default_rng(0)
         self.ell = 6
         top = (1 << self.ell) - 1
-        self.queries = []
+        lo, hi = [], []
         for _ in range(20):
-            lo = g.integers(0, top + 1, 3)
-            hi = np.minimum(top, lo + g.integers(0, 6, 3))
-            self.queries.append(
-                RangeQuery(tuple(int(x) for x in lo), tuple(int(x) for x in hi))
-            )
+            lo.append(g.integers(0, top + 1, 3))
+            hi.append(np.minimum(top, lo[-1] + g.integers(0, 6, 3)))
+        self.queries = Workload(lo, hi)
 
     def test_estimator_agrees_with_naive_d3(self):
         est = WorkloadCostEstimator(self.queries, 3, self.ell)
@@ -86,7 +84,7 @@ class TestPiecewiseOrderConsistency:
         grid = np.array(
             [(x, y) for x in range(32) for y in range(32)], dtype=np.uint64
         )
-        queries = [RangeQuery((0, 0), (7, 31)), RangeQuery((20, 3), (25, 9))]
+        queries = Workload([[0, 0], [20, 3]], [[7, 31], [25, 9]])
         tree = BMTreeLite(2, ell, h=3, reward="gc", seed=1).fit(grid, queries)
         ranges = []
         for leaf in tree.leaves:

@@ -15,7 +15,7 @@ from pyspark.sql import functions as F
 
 from repro.core.bmc import BMC
 from repro.core.cost_model import WorkloadCostEstimator
-from repro.core.query import RangeQuery
+from repro.core.query import RangeQuery, Workload
 from repro.oracle import assert_equivalent
 from repro.sparkops.layout import (
     PAGE_ROWS,
@@ -69,7 +69,7 @@ def rows_of_pages_met(store, q):
     meets = np.all((store.box_lo <= q.hi) & (store.box_hi >= q.lo), axis=1)
     n = len(store.points)
     sizes = np.diff(np.minimum(np.arange(store.n_blocks + 1) * PAGE_ROWS, n))
-    assert np.count_nonzero(meets) == store.accesses([q]).examined[0]
+    assert np.count_nonzero(meets) == store.accesses(Workload([q.lo], [q.hi])).examined[0]
     return int(sizes[meets].sum())
 
 

@@ -6,7 +6,7 @@ import pytest
 
 from repro.core.bmc import BMC
 from repro.core.cost_model import WorkloadCostEstimator
-from repro.core.query import RangeQuery
+from repro.core.query import Workload
 from repro.learn.lbmc import LBMC, encode, greedy_hill_climb, valid_action_mask
 
 
@@ -14,12 +14,10 @@ def wide_workload(ell=6, n=12, seed=0):
     """Wide flat queries: the optimal BMC puts x in the low bits."""
     g = np.random.default_rng(seed)
     top = (1 << ell) - 1
-    out = []
+    lo = []
     for _ in range(n):
-        x = int(g.integers(0, top - 15))
-        y = int(g.integers(0, top + 1))
-        out.append(RangeQuery((x, y), (x + 15, y)))
-    return out
+        lo.append((int(g.integers(0, top - 15)), int(g.integers(0, top + 1))))
+    return Workload(lo, [(x + 15, y) for x, y in lo])
 
 
 class TestEncoding:
@@ -104,10 +102,8 @@ class TestLearning:
     def test_lbmc_approaches_hill_climb_quality(self):
         # small search space (8 slots): RL should match pure exploitation
         g = np.random.default_rng(7)
-        queries = []
-        for _ in range(12):
-            x, y = int(g.integers(0, 8)), int(g.integers(0, 16))
-            queries.append(RangeQuery((x, y), (x + 7, y)))
+        lo = [(int(g.integers(0, 8)), int(g.integers(0, 16))) for _ in range(12)]
+        queries = Workload(lo, [(x + 7, y) for x, y in lo])
         est = WorkloadCostEstimator(queries, 2, 4)
         hc_sigma, hc_cost = greedy_hill_climb(est)
         res = LBMC(est, episodes=12, seed=0).learn()
@@ -125,7 +121,8 @@ class TestHillClimb:
     def test_finds_x_low_curve_for_wide_queries(self):
         # for purely wide queries the optimum puts all x bits low;
         # hill climbing from ZC should at least push x bits downward
-        queries = [RangeQuery((0, y), (63, y)) for y in range(0, 64, 7)]
+        ys = range(0, 64, 7)
+        queries = Workload([(0, y) for y in ys], [(63, y) for y in ys])
         est = WorkloadCostEstimator(queries, 2, 6)
         sigma, cost = greedy_hill_climb(est)
         x_low = BMC.from_string("YYYYYYXXXXXX")

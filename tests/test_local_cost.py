@@ -12,17 +12,16 @@ from repro.core.local_cost import (
     naive_local_cost,
     sections_via_patterns,
 )
-from repro.core.query import RangeQuery
+from repro.core.query import RangeQuery, Workload
 
 
 def random_workload(rng, n, d, ell, max_edge=6):
     top = (1 << ell) - 1
-    out = []
+    lo, hi = [], []
     for _ in range(n):
-        lo = rng.integers(0, top + 1, d)
-        hi = np.minimum(top, lo + rng.integers(0, max_edge, d))
-        out.append(RangeQuery(tuple(int(x) for x in lo), tuple(int(x) for x in hi)))
-    return out
+        lo.append(rng.integers(0, top + 1, d))
+        hi.append(np.minimum(top, lo[-1] + rng.integers(0, max_edge, d)))
+    return Workload(lo, hi)
 
 
 def random_bmc(rng, d, ell):
@@ -119,14 +118,14 @@ class TestPatternTables:
             assert tables.local_cost(sigma) == naive_local_cost(sigma, queries)
 
     def test_total_cells(self):
-        queries = [RangeQuery((0, 0), (3, 1)), RangeQuery((2, 2), (2, 2))]
+        queries = Workload([[0, 0], [2, 2]], [[3, 1], [2, 2]])
         tables = PatternTables(queries, 2, 4)
         assert tables.total_cells == 8 + 1
 
     def test_table_shapes(self):
-        t2 = PatternTables([RangeQuery((0, 0), (3, 3))], 2, 4)
+        t2 = PatternTables(Workload([[0, 0]], [[3, 3]]), 2, 4)
         assert [t.shape for t in t2.tables] == [(4, 5), (4, 5)]
-        t3 = PatternTables([RangeQuery((0, 0, 0), (3, 3, 3))], 3, 4)
+        t3 = PatternTables(Workload([[0, 0, 0]], [[3, 3, 3]]), 3, 4)
         assert [t.shape for t in t3.tables] == [(4, 5, 5)] * 3
 
     def test_merge_equals_whole(self):
@@ -142,17 +141,17 @@ class TestPatternTables:
             assert merged.local_cost(sigma) == whole.local_cost(sigma)
 
     def test_shape_mismatch_rejected(self):
-        tables = PatternTables([RangeQuery((0, 0), (3, 3))], 2, 4)
+        tables = PatternTables(Workload([[0, 0]], [[3, 3]]), 2, 4)
         with pytest.raises(ValueError):
             tables.edges(BMC.zc(2, 5))
         with pytest.raises(ValueError):
-            PatternTables([RangeQuery((0, 0), (99, 99))], 2, 4)
+            PatternTables(Workload([[0, 0]], [[99, 99]]), 2, 4)
 
 
 class TestCurveSensitivity:
     def test_more_sections_for_mismatched_curve(self):
         # Figure 1 intuition: wide queries suit x-contiguous curves
-        wide = [RangeQuery((0, 3), (15, 3))]  # 16 x 1
+        wide = Workload([[0, 3]], [[15, 3]])  # 16 x 1
         x_low = BMC.from_string("YYYYXXXX")
         y_low = BMC.from_string("XXXXYYYY")
         assert PatternTables(wide, 2, 4).local_cost(x_low) == 1

@@ -17,7 +17,7 @@ from repro.core.local_cost import (
     exact_sections,
     sections_via_patterns,
 )
-from repro.core.query import RangeQuery
+from repro.core.query import RangeQuery, Workload
 
 
 @st.composite
@@ -75,7 +75,7 @@ def test_workload_estimators_match_naive(case_a, case_b):
         if qb_raw.d >= sigma.d
         else (0,) * sigma.d,
     )
-    queries = [qa, qb]
+    queries = Workload([qa.lo, qb.lo], [qa.hi, qb.hi])
     gc = GlobalCostEstimator(queries, sigma.d, sigma.ell)
     lc = PatternTables(queries, sigma.d, sigma.ell)
     assert gc.cost(sigma) == sum(global_cost_single(sigma, q) for q in queries)

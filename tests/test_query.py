@@ -1,8 +1,7 @@
 """Tests for the RangeQuery abstraction (Definition 1)."""
-import numpy as np
 import pytest
 
-from repro.core.query import RangeQuery, queries_to_arrays
+from repro.core.query import RangeQuery
 
 
 class TestBasics:
@@ -33,19 +32,3 @@ class TestBasics:
         assert arr == set(q.cells())
         assert len(q.cells_array()) == q.n_cells
 
-
-class TestArrays:
-    def test_roundtrip(self):
-        qs = [RangeQuery((0, 1), (2, 3)), RangeQuery((4, 4), (5, 6))]
-        lo, hi = queries_to_arrays(qs)
-        assert lo.shape == (2, 2) and hi.shape == (2, 2)
-        assert np.array_equal(lo, [[0, 1], [4, 4]])
-        assert np.array_equal(hi, [[2, 3], [5, 6]])
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            queries_to_arrays([])
-
-    def test_mixed_d_rejected(self):
-        with pytest.raises(ValueError):
-            queries_to_arrays([RangeQuery((0,), (1,)), RangeQuery((0, 0), (1, 1))])

@@ -4,19 +4,17 @@ import pytest
 
 from repro.core.bmc import BMC
 from repro.core.cost_model import WorkloadCostEstimator
-from repro.core.query import RangeQuery
+from repro.core.query import Workload
 from repro.learn.quilts import design_candidates, quilts
 
 
 def flat_queries(ell=8, n=10, w=16, h=2, seed=0):
     g = np.random.default_rng(seed)
     top = (1 << ell) - 1
-    out = []
+    lo = []
     for _ in range(n):
-        x = int(g.integers(0, top - w + 2))
-        y = int(g.integers(0, top - h + 2))
-        out.append(RangeQuery((x, y), (x + w - 1, y + h - 1)))
-    return out
+        lo.append((int(g.integers(0, top - w + 2)), int(g.integers(0, top - h + 2))))
+    return Workload(lo, [(x + w - 1, y + h - 1) for x, y in lo])
 
 
 class TestCandidates:
@@ -45,7 +43,7 @@ class TestCandidates:
         assert found
 
     def test_d3_candidates(self):
-        qs = [RangeQuery((0, 0, 0), (7, 3, 1)), RangeQuery((2, 2, 2), (9, 5, 3))]
+        qs = Workload([[0, 0, 0], [2, 2, 2]], [[7, 3, 1], [9, 5, 3]])
         cands = design_candidates(qs, 3, 6)
         assert all(c.d == 3 and c.ell == 6 for c in cands)
         assert len(cands) >= 4
@@ -68,7 +66,8 @@ class TestSelection:
 
     def test_square_queries_prefer_balanced_curve(self):
         # for square queries the tile candidate degenerates toward ZC
-        qs = [RangeQuery((i, i), (i + 7, i + 7)) for i in range(0, 200, 13)]
+        starts = range(0, 200, 13)
+        qs = Workload([(i, i) for i in starts], [(i + 7, i + 7) for i in starts])
         est = WorkloadCostEstimator(qs, 2, 8)
         res = quilts(est, qs)
         lex_cost = est.cost(BMC.lex(2, 8))

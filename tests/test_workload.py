@@ -1,10 +1,14 @@
 """Tests for the array-native ``Workload`` and the generators that build it."""
 import math
+import re
 
 import numpy as np
 import pytest
 
-from repro.core.query import RangeQuery, Workload, as_workload, queries_to_arrays
+from repro.core.cost_model import WorkloadCostEstimator
+from repro.core.global_cost import GlobalCostEstimator
+from repro.core.local_cost import PatternTables
+from repro.core.query import RangeQuery, Workload, queries_to_arrays
 from repro.workloads.datasets import make_dataset, osm_like
 from repro.workloads.queries import data_following, random_squares
 
@@ -47,7 +51,7 @@ class TestWorkload:
         self.qs = [
             RangeQuery((0, 1), (2, 3)), RangeQuery((4, 4), (5, 6)), RangeQuery((1, 0), (1, 7))
         ]
-        self.w = Workload(*queries_to_arrays(self.qs))
+        self.w = Workload([[0, 1], [4, 4], [1, 0]], [[2, 3], [5, 6], [1, 7]])
 
     def test_len_index_iter(self):
         assert len(self.w) == 3 and self.w.d == 2
@@ -81,14 +85,10 @@ class TestWorkload:
             Workload([0, 0], [1, 5])
 
     def test_queries_to_arrays_returns_workload_arrays(self):
-        lo, hi = queries_to_arrays(self.w)
+        lo, hi = queries_to_arrays(self.w, 2, 3)
         assert lo is self.w.lo and hi is self.w.hi
         with pytest.raises(ValueError):
-            queries_to_arrays(self.w[:0])
-
-    def test_as_workload(self):
-        assert as_workload(self.w) is self.w
-        assert as_workload(self.qs) == self.w
+            queries_to_arrays(self.w[:0], 2, 3)
 
 
 class TestGeneratorsPinned:
@@ -117,3 +117,25 @@ class TestGeneratorsPinned:
         got = random_squares(500, ell, delta, seed=seed, d=d)
         assert list(got) == reference_random_squares(500, ell, delta, seed=seed, d=d)
         assert _plain_ints(got)
+
+
+BAD_WORKLOADS = [
+    (Workload(np.zeros((0, 2)), np.zeros((0, 2))), 2, 4, "empty workload"),
+    (Workload([[0, 0, 0]], [[1, 1, 1]]), 2, 4, "workload is 3-dimensional, expected 2"),
+    (Workload([[0, 0]], [[16, 1]]), 2, 4, "query coordinates exceed 2^4 - 1"),
+    (Workload([[0, 0]], [[1, 1]]), 2, 32, "d*ell = 64 exceeds 63 bits"),
+]
+
+
+@pytest.mark.parametrize(
+    "cls", [GlobalCostEstimator, PatternTables, WorkloadCostEstimator], ids=lambda c: c.__name__
+)
+def test_estimators_check_the_workload_alike(cls):
+    """Every estimator takes a ``Workload`` only, and rejects an empty one,
+    the wrong ``d``, a coordinate of ``2^ell`` and ``d * ell > 63`` with
+    the same error."""
+    with pytest.raises(TypeError):
+        cls([RangeQuery((0, 0), (1, 1))], 2, 4)
+    for w, d, ell, message in BAD_WORKLOADS:
+        with pytest.raises(ValueError, match=re.escape(message)):
+            cls(w, d, ell)
