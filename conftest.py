@@ -37,6 +37,11 @@ def _driver_mem() -> str:
     return "48g"
 
 
+# pyproject's ``pythonpath`` reaches only this process; Spark's Python
+# workers import ``repro`` through the PYTHONPATH the JVM inherits at launch
+_SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")]))
+
 os.environ.setdefault("SPARK_DRIVER_MEM", _driver_mem())
 os.environ.setdefault(
     "PYSPARK_SUBMIT_ARGS",

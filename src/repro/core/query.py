@@ -68,6 +68,15 @@ class RangeQuery:
         return np.stack([g.ravel() for g in grids], axis=1)
 
 
+def _cells(coords) -> np.ndarray:
+    """A new int64 array of grid-cell coordinates; a coordinate that is
+    not a whole number is rejected, not floored into another cell."""
+    coords = np.asarray(coords)
+    if coords.dtype.kind == "f" and not np.all(np.isfinite(coords) & (np.trunc(coords) == coords)):
+        raise ValueError("query coordinates must be whole grid cells")
+    return coords.astype(np.int64)
+
+
 class Workload:
     """``n`` range queries as two read-only (n, d) int64 arrays.
 
@@ -78,8 +87,7 @@ class Workload:
     __slots__ = ("lo", "hi")
 
     def __init__(self, lo, hi):
-        lo = np.array(lo, dtype=np.int64)
-        hi = np.array(hi, dtype=np.int64)
+        lo, hi = _cells(lo), _cells(hi)
         if lo.ndim != 2 or lo.shape != hi.shape:
             raise ValueError(f"lo/hi must be (n, d) arrays of one shape: {lo.shape}, {hi.shape}")
         if np.any(lo < 0) or np.any(hi < lo):

@@ -29,6 +29,35 @@ DEFAULT_BLOCK_SIZE = 204  # ~8 KB PostgreSQL page of 2-D point tuples
 _MASK_ENTRIES = 1 << 22
 
 
+def _stable_sort(vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(order, vals[order])`` with ``order`` the stable argsort of ``vals``.
+
+    Non-negative integer values of at most ``64 - k`` bits, with ``k``
+    the bit length of ``n - 1``, are sorted as the unique uint64 keys
+    ``value << k | row``: distinct keys sort to exactly the stable order,
+    and one in-place ``np.sort`` of them (numpy's vectorised integer
+    sort) is several times faster than the stable argsort (a timsort).
+    The low ``k`` bits of a sorted key are its row, the rest its value.
+    Other values (negative, float, or too wide) take the stable argsort."""
+    n = len(vals)
+    k = (n - 1).bit_length()
+    if (
+        n
+        and vals.dtype.kind in "iu"
+        and (vals.dtype.kind == "u" or vals.min() >= 0)
+        and int(vals.max()).bit_length() + k <= 64
+    ):
+        key = vals.astype(np.uint64)
+        key <<= np.uint64(k)
+        key |= np.arange(n, dtype=np.uint64)
+        key.sort()
+        order = (key & np.uint64((1 << k) - 1)).view(np.intp)
+        key >>= np.uint64(k)
+        return order, key.astype(vals.dtype, copy=False)
+    order = np.argsort(vals, kind="stable")
+    return order, vals[order]
+
+
 class Accesses(NamedTuple):
     """Per-query counts of a workload over a store, as int64 arrays."""
 
@@ -43,7 +72,13 @@ class BlockStore:
 
     Each block keeps the bounding box of its points (a zone map, the
     per-page min/max that Parquet row groups and BRIN indexes keep), so
-    a query scans only the blocks whose box it meets."""
+    a query scans only the blocks whose box it meets.
+
+    Points of equal value keep their input order.  The build sorts the
+    unique keys ``value << k | row`` (``k`` the bit length of ``n - 1``)
+    with one in-place ``np.sort`` when the values are non-negative
+    integers of at most ``64 - k`` bits, as every BMC's are at
+    ``d * ell + k <= 64``; other values fall back to a stable argsort."""
 
     def __init__(
         self,
@@ -57,7 +92,7 @@ class BlockStore:
             raise ValueError("points must be (n, d) aligned with curve_values")
         if block_size < 1:
             raise ValueError("block size must be >= 1")
-        order = np.argsort(vals, kind="stable")
+        order, self.values = _stable_sort(vals)
         n, d = pts.shape
         self.block_size = block_size
         self.n_blocks = -(-n // block_size)
@@ -67,9 +102,10 @@ class BlockStore:
         self._cols = np.empty((d, self.n_blocks * block_size), dtype=pts.dtype)
         self._cols[:, n:] = 0
         for i in range(d):
-            self._cols[i, :n] = pts[order, i]
+            # ``order`` is a permutation, so "clip" never clips; it spares
+            # the copy of ``out`` that the default "raise" mode buffers
+            np.take(pts[:, i], order, out=self._cols[i, :n], mode="clip")
         self.points = self._cols[:, :n].T
-        self.values = vals[order]
         # the zone map: (n_blocks, d) per-block minima and maxima
         starts = np.arange(0, n, block_size)
         self.box_lo = np.asfortranarray(np.minimum.reduceat(self.points, starts, axis=0))

@@ -202,3 +202,63 @@ class TestAgainstBruteForce:
             assert all(type(x) is int for x in got)
             assert store.precision(q) == (rows / fetched if blocks else 1.0)
         assert store.avg_block_accesses(queries) == np.mean([b for _, b, _, _ in ref])
+
+
+@st.composite
+def keyed_stores(draw, side):
+    """Points and tied curve values on one ``side`` of the key-sort switch.
+
+    With ``k`` the bit length of ``n - 1``, the widest value has
+    ``64 - k`` bits on the ``"key"`` side and ``65 - k`` bits (or a
+    negative value) on the ``"argsort"`` side.  The values are a few
+    distinct ones repeated, so most rows tie with others."""
+    d = draw(st.integers(1, 4))
+    block_size = draw(st.integers(1, 64))
+    n = draw(st.sampled_from([0, 1, block_size, block_size + 1]) | st.integers(0, 2000))
+    k = (n - 1).bit_length()
+    dtype = draw(st.sampled_from([np.uint64, np.int64]))
+    bits = 64 - k + (side == "argsort")
+    negative = side == "argsort" and (bits > 64 or draw(st.booleans()) or dtype is np.int64 and bits > 63)
+    if negative:
+        dtype = np.int64
+    bits = min(bits, 63 if dtype is np.int64 else 64)
+    top = draw(st.integers(1 << (bits - 1), (1 << bits) - 1))
+    pool = [top, *draw(st.lists(st.integers(0, top) | st.integers(0, 9), max_size=5))]
+    if negative:
+        pool.insert(0, draw(st.integers(-(1 << 63), -1)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pick = rng.integers(0, len(pool), n)
+    pick[: min(n, len(pool))] = np.arange(min(n, len(pool)))  # the widest value is drawn
+    rng.shuffle(pick)
+    vals = np.array(pool, dtype=dtype)[pick]
+    span = draw(st.sampled_from([1, 7, 63, 1 << 60]))
+    pts = rng.integers(0, span, size=(n, d), endpoint=True).astype(draw(st.sampled_from([np.uint64, np.int64])))
+    corners = rng.integers(0, span, size=(3, 2, d), endpoint=True)
+    queries = Workload(
+        [[0] * d, [0] * d, *corners.min(axis=1).tolist()],
+        [[span] * d, [0] * d, *corners.max(axis=1).tolist()],
+    )
+    return pts, vals, block_size, queries
+
+
+class TestKeySort:
+    @pytest.mark.parametrize("side", ["key", "argsort"])
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_store_equals_the_stable_argsort_store(self, side, data):
+        """The (value, row) key sort lays out exactly the store a stable
+        argsort does, and each side of the 64-bit switch is taken."""
+        pts, vals, block_size, queries = data.draw(keyed_stores(side))
+        with mock.patch.object(np, "argsort", wraps=np.argsort) as spy:
+            store = BlockStore(pts, vals, block_size)
+        assert spy.called == (side == "argsort" or len(vals) == 0)
+        order = np.argsort(vals, kind="stable")
+        starts = np.arange(0, len(vals), block_size)
+        assert store.points.dtype == pts.dtype and store.values.dtype == vals.dtype
+        assert np.array_equal(store.points, pts[order])
+        assert np.array_equal(store.values, vals[order])
+        assert np.array_equal(store.box_lo, np.minimum.reduceat(pts[order], starts, axis=0))
+        assert np.array_equal(store.box_hi, np.maximum.reduceat(pts[order], starts, axis=0))
+        got = store.accesses(queries)
+        for q, *counts in zip(queries, *got):
+            assert tuple(counts) == brute_force(pts, vals, block_size, q)

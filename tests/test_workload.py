@@ -84,6 +84,16 @@ class TestWorkload:
         with pytest.raises(ValueError):
             Workload([0, 0], [1, 5])
 
+    def test_non_integral_coordinates_rejected(self):
+        # flooring would silently turn this into the query [[0, 1]]-[[2, 3]]
+        with pytest.raises(ValueError, match="whole grid cells"):
+            Workload([[0.5, 1.7]], [[2.2, 3.9]])
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="whole grid cells"):
+                Workload([[0, 1]], [[2, bad]])
+        w = Workload(np.array([[0.0, 1.0]]), np.array([[2.0, 3.0]]))
+        assert w == Workload([[0, 1]], [[2, 3]]) and w.lo.dtype == np.int64
+
     def test_queries_to_arrays_returns_workload_arrays(self):
         lo, hi = queries_to_arrays(self.w, 2, 3)
         assert lo is self.w.lo and hi is self.w.hi
