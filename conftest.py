@@ -88,3 +88,15 @@ def spark() -> SparkSession:
     )
     yield s
     s.stop()
+
+
+@pytest.fixture
+def arrow_off(spark):
+    """``spark.sql.execution.arrow.pyspark.enabled`` off for one test, its
+    value in a session that never sets it; the session's value is
+    restored afterwards."""
+    key = "spark.sql.execution.arrow.pyspark.enabled"
+    old = spark.conf.get(key)
+    spark.conf.set(key, "false")
+    yield
+    spark.conf.set(key, old)

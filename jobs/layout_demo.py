@@ -1,14 +1,13 @@
 """End-to-end Spark demo: choose a BMC layout, write Parquet, run range queries.
 
 This is the production embedding from the reproduction brief: the
-constant-time estimator (initialized by one Python task per core, each
-folding its batches of the query workload into one partial) scores
-candidate curves; the winner orders the Parquet write, which leaves a
-manifest of each file's min/max box; each range query then reads only
-the files whose box meets it, and only the pages of those files whose
-box meets it.  Files read and rows read are what the engine's scan
-reports (``numFiles``, ``numOutputRows``); rows returned are the rows
-each query collects.
+constant-time estimator (its init from one Arrow collect of the query
+workload, fitted on the driver) scores candidate curves; the winner
+orders the Parquet write, which leaves a manifest of each file's min/max
+box; each range query then reads only the files whose box meets it, and
+only the pages of those files whose box meets it.  Files read and rows
+read are what the engine's scan reports (``numFiles``,
+``numOutputRows``); rows returned are the rows each query collects.
 
 Usage: spark-submit jobs/layout_demo.py  (or python jobs/layout_demo.py)
 """

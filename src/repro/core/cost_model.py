@@ -43,18 +43,6 @@ class WorkloadCostEstimator:
             raise ValueError("no candidates")
         return best, best_cost
 
-    @staticmethod
-    def merge(parts: list["WorkloadCostEstimator"]) -> "WorkloadCostEstimator":
-        """Merge partition-local estimators (additive init statistics)."""
-        if not parts:
-            raise ValueError("nothing to merge")
-        out = object.__new__(WorkloadCostEstimator)
-        out.d, out.ell = parts[0].d, parts[0].ell
-        out.n = sum(p.n for p in parts)
-        out.gc = GlobalCostEstimator.merge([p.gc for p in parts])
-        out.lc = PatternTables.merge([p.lc for p in parts])
-        return out
-
 
 def naive_cost(sigma: BMC, queries: Workload) -> int:
     """Baseline combined cost: NGC * NLC, no precomputation."""

@@ -77,23 +77,3 @@ class GlobalCostEstimator:
             raise ValueError("BMC shape does not match the fitted workload")
         coef = self.A.ravel().tolist()
         return self.n + sum(map(operator.lshift, coef, _ranks(sigma.slots)))
-
-    @staticmethod
-    def merge(parts: list["GlobalCostEstimator"]) -> "GlobalCostEstimator":
-        """Combine estimators fitted on disjoint query partitions.
-
-        ``A`` and ``n`` are additive over queries, which is what makes the
-        initialization embarrassingly parallel (used by the Spark
-        per-task fold in ``repro.sparkops.estimator``)."""
-        if not parts:
-            raise ValueError("nothing to merge")
-        first = parts[0]
-        out = object.__new__(GlobalCostEstimator)
-        out.d, out.ell = first.d, first.ell
-        out.n = sum(p.n for p in parts)
-        out.A = np.zeros_like(first.A)
-        for p in parts:
-            if (p.d, p.ell) != (first.d, first.ell):
-                raise ValueError("mismatched estimator shapes")
-            out.A += p.A
-        return out

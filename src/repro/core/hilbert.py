@@ -3,13 +3,16 @@
 The paper evaluates HC only as a data-ordering competitor (it is not a
 BMC, so the cost model does not apply to it).  We implement the
 d-dimensional Skilling transform [Skilling 2004, AIP CP 707] which maps
-between coordinates and the Hilbert "transpose" form, plus the packing
-of the transpose into a single integer.  Works for any d >= 2 and bit
-depth ell; vectorized with numpy for bulk ordering.
+between coordinates and the Hilbert "transpose" form; the transpose's
+Z-order value (its bits interleaved, axis 0 most significant) is the
+Hilbert index.  Works for any d >= 2 and bit depth ell; vectorized with
+numpy for bulk ordering.
 """
 from __future__ import annotations
 
 import numpy as np
+
+from .bmc import BMC
 
 
 def _axes_to_transpose(x: np.ndarray, ell: int) -> np.ndarray:
@@ -45,20 +48,6 @@ def _axes_to_transpose(x: np.ndarray, ell: int) -> np.ndarray:
     return x
 
 
-def _transpose_to_index(x: np.ndarray, ell: int) -> np.ndarray:
-    """Interleave the transpose form into a single Hilbert index.
-
-    Bit ``j`` of axis ``i`` lands at output position ``j * d + (d-1-i)``
-    so the result has ``d * ell`` significant bits."""
-    n, d = x.shape
-    out = np.zeros(n, dtype=np.uint64)
-    for j in range(ell):
-        for i in range(d):
-            bit = (x[:, i] >> np.uint64(j)) & np.uint64(1)
-            out |= bit << np.uint64(j * d + (d - 1 - i))
-    return out
-
-
 def hilbert_values(points: np.ndarray, ell: int) -> np.ndarray:
     """Hilbert curve values for an (n, d) array of grid coordinates."""
     pts = np.asarray(points, dtype=np.uint64)
@@ -69,7 +58,7 @@ def hilbert_values(points: np.ndarray, ell: int) -> np.ndarray:
         raise ValueError("d * ell must be <= 63")
     if np.any(pts >= (np.uint64(1) << np.uint64(ell))):
         raise ValueError(f"coordinates outside [0, 2^{ell})")
-    return _transpose_to_index(_axes_to_transpose(pts, ell), ell)
+    return BMC.zc(d, ell).values(_axes_to_transpose(pts, ell))
 
 
 def hilbert_value(point, ell: int) -> int:

@@ -226,25 +226,3 @@ class PatternTables:
     def local_cost(self, sigma: BMC) -> int:
         """Total workload local cost ``V - E_sigma`` (Algorithm 2)."""
         return self.total_cells - self.edges(sigma)
-
-    @staticmethod
-    def merge(parts: list["PatternTables"]) -> "PatternTables":
-        """Combine tables fitted on disjoint query partitions.
-
-        Tables and cell totals are additive over queries — the basis for
-        the Spark distributed initialization."""
-        if not parts:
-            raise ValueError("nothing to merge")
-        first = parts[0]
-        out = object.__new__(PatternTables)
-        out.d, out.ell = first.d, first.ell
-        out.n = sum(p.n for p in parts)
-        out.total_cells = sum(p.total_cells for p in parts)
-        # the merged entries are bounded by the merged total_cells
-        dtype = np.int64 if out.total_cells < EXACT_FLOAT_CELLS else object
-        out.table = np.zeros(first.table.shape, dtype=dtype)
-        for p in parts:
-            if (p.d, p.ell) != (first.d, first.ell):
-                raise ValueError("mismatched table shapes")
-            out.table += p.table.astype(dtype)
-        return out

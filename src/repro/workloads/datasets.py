@@ -20,7 +20,7 @@ dataset as a DataFrame (columns ``x``, ``y``) for the Spark layers.
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
+import pyarrow as pa
 from pyspark.sql import DataFrame, SparkSession
 
 
@@ -100,8 +100,9 @@ def make_dataset(name: str, n: int, ell: int, seed: int = 0) -> np.ndarray:
 
 
 def to_spark(spark: SparkSession, points: np.ndarray, n_partitions: int = 8) -> DataFrame:
-    """Wrap an (n, 2) coordinate array as a Spark DataFrame (x, y)."""
-    pdf = pd.DataFrame(
-        {"x": points[:, 0].astype(np.int64), "y": points[:, 1].astype(np.int64)}
-    )
-    return spark.createDataFrame(pdf).repartition(n_partitions)
+    """Wrap an (n, 2) coordinate array as a Spark DataFrame of BIGINT
+    columns (x, y), built from a ``pyarrow.Table`` so that it takes
+    Arrow's path whatever ``spark.sql.execution.arrow.pyspark.enabled``
+    says."""
+    table = pa.table({"x": points[:, 0].astype(np.int64), "y": points[:, 1].astype(np.int64)})
+    return spark.createDataFrame(table).repartition(n_partitions)

@@ -4,8 +4,6 @@ import pytest
 
 from repro.core.bmc import BMC
 from repro.core.cost_model import WorkloadCostEstimator, naive_cost
-from repro.core.global_cost import GlobalCostEstimator
-from repro.core.local_cost import PatternTables
 from repro.core.query import Workload
 
 
@@ -42,28 +40,6 @@ class TestCombinedCost:
         est = WorkloadCostEstimator(Workload([[0, 0]], [[1, 1]]), 2, 4)
         with pytest.raises(ValueError):
             est.best_of([])
-
-    def test_merge_matches_whole(self):
-        rng = np.random.default_rng(4)
-        queries = random_workload(rng, 24, 2, 5)
-        whole = WorkloadCostEstimator(queries, 2, 5)
-        merged = WorkloadCostEstimator.merge(
-            [
-                WorkloadCostEstimator(queries[:8], 2, 5),
-                WorkloadCostEstimator(queries[8:], 2, 5),
-            ]
-        )
-        for s in ["XYXYXYXYXY", "XXYYXYXYXY", "YXYXYXYXYX"]:
-            sigma = BMC.from_string(s)
-            assert merged.cost(sigma) == whole.cost(sigma)
-
-    @pytest.mark.parametrize(
-        "cls", [GlobalCostEstimator, PatternTables, WorkloadCostEstimator], ids=lambda c: c.__name__
-    )
-    def test_merge_nothing_rejected(self, cls):
-        with pytest.raises(ValueError, match="nothing to merge"):
-            cls.merge([])
-
 
 class TestCostDiscriminates:
     def test_query_aligned_curve_wins(self):

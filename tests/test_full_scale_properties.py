@@ -3,8 +3,7 @@
 Workload-built estimators at d = 2-4 and ell up to 20 (31 at d = 2, where
 the counts switch to int64; d * ell <= 63, the widest curve a BMC holds)
 against Python-int sums of the per-query closed forms, on both sides of
-the pattern tables' switch from float64 to Python-int arithmetic, and
-``merge`` of random partitions against the whole workload.
+the pattern tables' switch from float64 to Python-int arithmetic.
 """
 import numpy as np
 import pytest
@@ -98,33 +97,6 @@ def test_estimator_near_the_path_switch(data):
     est = WorkloadCostEstimator(w, d, ell)
     assert abs(est.lc.total_cells - EXACT_FLOAT_CELLS) <= 4
     _check_against_closed_forms(est, w, data.draw(curves(d, ell)) + [BMC.zc(d, ell)])
-
-
-@st.composite
-def partitioned(draw):
-    if draw(st.booleans()):
-        w, d, ell = draw(near_bound())
-    else:
-        d, ell = draw(shapes())
-        w = draw(boxes(d, ell, draw(st.integers(1, 12))))
-    labels = np.array(draw(st.lists(st.integers(0, 3), min_size=len(w), max_size=len(w))))
-    parts = [Workload(w.lo[labels == p], w.hi[labels == p]) for p in np.unique(labels)]
-    return w, parts, d, ell
-
-
-@settings(max_examples=40, deadline=None)
-@given(st.data())
-def test_merge_of_partitions_equals_whole(data):
-    w, parts, d, ell = data.draw(partitioned())
-    whole = WorkloadCostEstimator(w, d, ell)
-    merged = WorkloadCostEstimator.merge([WorkloadCostEstimator(p, d, ell) for p in parts])
-    assert merged.n == whole.n
-    assert merged.lc.total_cells == whole.lc.total_cells
-    assert np.array_equal(merged.gc.A, whole.gc.A)
-    for a, b in zip(merged.lc.tables, whole.lc.tables):
-        assert a.tolist() == b.tolist()
-    for sigma in data.draw(curves(d, ell)):
-        assert merged.cost(sigma) == whole.cost(sigma)
 
 
 @pytest.mark.parametrize("d,ell", [(2, 16), (3, 8), (4, 5)])

@@ -66,26 +66,6 @@ class TestNaiveVsEstimator:
             GlobalCostEstimator(Workload([[0, 0]], [[64, 64]]), 2, 6)
 
 
-class TestMerge:
-    def test_merge_equals_whole(self):
-        rng = np.random.default_rng(7)
-        queries = random_workload(rng, 48, 2, 8)
-        whole = GlobalCostEstimator(queries, 2, 8)
-        parts = [
-            GlobalCostEstimator(queries[:16], 2, 8),
-            GlobalCostEstimator(queries[16:40], 2, 8),
-            GlobalCostEstimator(queries[40:], 2, 8),
-        ]
-        merged = GlobalCostEstimator.merge(parts)
-        for s in ["XYXYXYXYXYXYXYXY", "XXXXYYYYXYXYXYXY"]:
-            sigma = BMC.from_string(s)
-            assert merged.cost(sigma) == whole.cost(sigma)
-
-    def test_merge_empty_rejected(self):
-        with pytest.raises(ValueError):
-            GlobalCostEstimator.merge([])
-
-
 class TestCostOrdering:
     def test_curve_choice_changes_cost(self):
         # a tall thin query should prefer y-major ordering (smaller span)

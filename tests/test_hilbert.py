@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from repro.core.hilbert import hilbert_value, hilbert_values
+from repro.core.hilbert import _axes_to_transpose, hilbert_value, hilbert_values
 
 
 class TestKnownOrders:
@@ -42,6 +42,18 @@ class TestKnownOrders:
         vec = hilbert_values(pts, 4)
         for p, v in zip(pts, vec):
             assert hilbert_value(tuple(int(c) for c in p), 4) == int(v)
+
+
+@pytest.mark.parametrize("d,ell", [(2, 16), (3, 20), (4, 15), (2, 31), (3, 5)])
+def test_index_is_the_transpose_interleaved_bit_by_bit(d, ell):
+    # bit j of transpose axis i lands at position j * d + (d - 1 - i)
+    pts = np.random.default_rng(d * ell).integers(0, 1 << ell, size=(2000, d), dtype=np.uint64)
+    x = _axes_to_transpose(pts, ell)
+    want = np.zeros(len(pts), dtype=np.uint64)
+    for j in range(ell):
+        for i in range(d):
+            want |= ((x[:, i] >> np.uint64(j)) & np.uint64(1)) << np.uint64(j * d + (d - 1 - i))
+    assert np.array_equal(hilbert_values(pts, ell), want)
 
 
 class TestValidation:

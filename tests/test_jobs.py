@@ -82,7 +82,8 @@ class TestLayoutDemo:
         # the chosen curve has the minimum estimated cost
         assert min(c for _, c in scores) == dict((s.slots, c) for s, c in scores)[best.slots]
 
-    def test_main_prints_the_scan_summary(self, spark, tmp_path, capsys, returned):
+    def test_main_prints_the_scan_summary(self, spark, arrow_off, tmp_path, capsys, returned):
+        # with the Arrow setting off, as in ``python jobs/layout_demo.py``
         mod = _load("layout_demo.py")
         assert mod["main"](["--n-pts", "5000", "--ell", "10", "--out", str(tmp_path)]) == 0
         m = re.fullmatch(

@@ -128,18 +128,6 @@ class TestPatternTables:
         t3 = PatternTables(Workload([[0, 0, 0]], [[3, 3, 3]]), 3, 4)
         assert [t.shape for t in t3.tables] == [(4, 5, 5)] * 3
 
-    def test_merge_equals_whole(self):
-        rng = np.random.default_rng(11)
-        queries = random_workload(rng, 30, 2, 6)
-        whole = PatternTables(queries, 2, 6)
-        merged = PatternTables.merge(
-            [PatternTables(queries[:10], 2, 6), PatternTables(queries[10:], 2, 6)]
-        )
-        assert merged.total_cells == whole.total_cells
-        for _ in range(5):
-            sigma = random_bmc(rng, 2, 6)
-            assert merged.local_cost(sigma) == whole.local_cost(sigma)
-
     def test_shape_mismatch_rejected(self):
         tables = PatternTables(Workload([[0, 0]], [[3, 3]]), 2, 4)
         with pytest.raises(ValueError):
