@@ -6,7 +6,7 @@ import argparse
 import sys
 
 from repro.experiments import fig14_17
-from repro.experiments.common import render_table
+from repro.experiments.common import render_table, sweep
 
 
 def main(argv=None) -> int:
@@ -14,14 +14,10 @@ def main(argv=None) -> int:
     ap.add_argument("--figure", choices=["14", "15", "16", "17", "all"], default="all")
     ap.add_argument("--n-pts", type=int, default=100_000)
     args = ap.parse_args(argv)
-    if args.figure in ("14", "all"):
-        print(render_table("Fig 14 — all datasets", fig14_17.overall(n_pts=args.n_pts)))
-    if args.figure in ("15", "all"):
-        print(render_table("Fig 15 — vary N (OSM)", fig14_17.vary_cardinality()))
-    if args.figure in ("16", "all"):
-        print(render_table("Fig 16 — vary aspect (OSM)", fig14_17.vary_aspect(n_pts=args.n_pts)))
-    if args.figure in ("17", "all"):
-        print(render_table("Fig 17 — vary edge length (OSM)", fig14_17.vary_edge_length(n_pts=args.n_pts)))
+    figures = {k: f for k, f in fig14_17.FIGURES.items() if args.figure in (k, "all")}
+    star = {**fig14_17.STAR, "n_pts": args.n_pts}
+    for k, rows in sweep(fig14_17.rows, star, figures).items():
+        print(render_table(figures[k].title, rows))
     return 0
 
 

@@ -6,22 +6,16 @@ import argparse
 import sys
 
 from repro.experiments import fig9_10
-from repro.experiments.common import render_table
+from repro.experiments.common import render_table, sweep
 
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--sweep", choices=["n", "delta", "ell", "d", "all"], default="all")
     args = ap.parse_args(argv)
-    sweeps = {
-        "n": ("Fig 9a/10a — vary n", fig9_10.vary_n),
-        "delta": ("Fig 9b/10b — vary delta", fig9_10.vary_delta),
-        "ell": ("Fig 9c/10c — vary ell", fig9_10.vary_ell),
-        "d": ("Fig 9d/10d — vary d (gains)", fig9_10.vary_d),
-    }
-    selected = sweeps if args.sweep == "all" else {args.sweep: sweeps[args.sweep]}
-    for title, fn in selected.values():
-        print(render_table(title, fn()))
+    figures = {k: f for k, f in fig9_10.FIGURES.items() if args.sweep in (k, "all")}
+    for k, rows in sweep(fig9_10.rows, fig9_10.STAR, figures).items():
+        print(render_table(figures[k].title, rows))
     return 0
 
 

@@ -196,17 +196,6 @@ class BMC:
             coords[dim] |= ((int(value) >> rank) & 1) << j
         return tuple(coords)
 
-    def decode_values(self, values: np.ndarray) -> np.ndarray:
-        """Vectorized inverse: (n,) curve values -> (n, d) coordinates."""
-        vals = np.asarray(values, dtype=np.uint64)
-        out = np.zeros((len(vals), self.d), dtype=np.uint64)
-        for i, j, r, k in self.runs:
-            term = vals >> np.uint64(r)
-            term &= np.uint64((1 << k) - 1)
-            term <<= np.uint64(j)
-            out[:, i] |= term
-        return out
-
     # -- misc ---------------------------------------------------------------
     def __str__(self) -> str:  # pragma: no cover - repr convenience
         try:

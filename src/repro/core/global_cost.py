@@ -25,22 +25,18 @@ from .query import RangeQuery, Workload, queries_to_arrays
 
 
 def global_cost_single(sigma: BMC, q: RangeQuery) -> int:
-    """Eq. 5 for one query: ``F(p_e) - F(p_s) + 1``."""
-    return sigma.value(q.hi) - sigma.value(q.lo) + 1
+    """Eq. 5 for one query, ``F(p_e) - F(p_s) + 1``, bit by bit: bit k
+    of dimension j is worth ``2^gamma[j][k]`` of the curve value."""
+    c = 1
+    for lo, hi, ranks in zip(q.lo, q.hi, sigma.gamma):
+        for k, r in enumerate(ranks):
+            c += (((hi >> k) & 1) - ((lo >> k) & 1)) << r
+    return c
 
 
 def naive_global_cost(sigma: BMC, queries: Workload) -> int:
-    """NGC baseline: O(n * d * ell) per candidate BMC."""
-    total = 0
-    for q in queries:
-        c = 1
-        for j in range(sigma.d):
-            for k in range(sigma.ell):
-                a_e = (q.hi[j] >> k) & 1
-                a_s = (q.lo[j] >> k) & 1
-                c += (a_e - a_s) << sigma.gamma[j][k]
-        total += c
-    return total
+    """NGC baseline: Eq. 5 query by query, O(n * d * ell) per candidate BMC."""
+    return sum(global_cost_single(sigma, q) for q in queries)
 
 
 @lru_cache(maxsize=4096)

@@ -59,8 +59,3 @@ def hilbert_values(points: np.ndarray, ell: int) -> np.ndarray:
     if np.any(pts >= (np.uint64(1) << np.uint64(ell))):
         raise ValueError(f"coordinates outside [0, 2^{ell})")
     return BMC.zc(d, ell).values(_axes_to_transpose(pts, ell))
-
-
-def hilbert_value(point, ell: int) -> int:
-    """Scalar convenience wrapper."""
-    return int(hilbert_values(np.array([point]), ell)[0])

@@ -212,11 +212,6 @@ class PatternTables:
                 tables.append(_pattern_table(rises[b], others, object))
         self.table = np.stack(tables)
 
-    @property
-    def tables(self) -> list[np.ndarray]:
-        """The per-dimension tables, as views of :attr:`table`."""
-        return list(self.table)
-
     def edges(self, sigma: BMC) -> int:
         """Algorithm 2's accumulation: total directed edges over Q."""
         if sigma.d != self.d or sigma.ell != self.ell:

@@ -17,110 +17,70 @@ from repro.learn.bmtree import BMTreeLite
 from repro.storage.blockstore import DEFAULT_BLOCK_SIZE, BlockStore
 from repro.workloads.datasets import make_dataset
 from repro.workloads.queries import data_following
-from .common import DEFAULT_ELL_QUERY
+from .common import DEFAULT_ELL_QUERY, Figure
+
+SEED = 0
+REWARDS = ("sp", "gc", "lc")
+
+# ``sample_rate`` is scaled up from the paper's rho = 1e-3 so the
+# absolute SP sample size at our largest N matches the paper's regime
+# (see EXPERIMENTS.md §0 on scaling).
+STAR = {
+    "dataset": "OSM",
+    "n_pts": 50_000,
+    "ell": DEFAULT_ELL_QUERY,
+    "n_learn": 200,
+    "n_test": 200,
+    "delta": 1024,
+    "h": 5,
+    "sample_rate": 0.1,
+}
+FIGURES = {
+    "11": Figure("Fig 11 — vary N (OSM)", "n_pts", (10_000, 100_000), column="N"),
+    "12": Figure("Fig 12 — vary n (OSM)", "n_learn", (100, 500, 1000)),
+}
+# Figure 13 is a grid over (h, rho) on one dataset: its own loop below.
+FIG13 = Figure("Fig 13 — vary rho, h (SKEW)", "h", (4, 6), fixed={"dataset": "SKEW"})
+FIG13_RHOS = (1e-3, 1e-2, 1e-1)
 
 
-def _evaluate(tree: BMTreeLite, points, test_queries, block_size) -> float:
-    store = BlockStore(points, tree.values(points), block_size)
-    return store.avg_block_accesses(test_queries)
+def _data(dataset, n_pts, ell, n_learn, n_test, delta):
+    """(points, learning queries, test queries) of one configuration."""
+    points = make_dataset(dataset, n_pts, ell, SEED)
+    learn_q = data_following(points, n_learn, ell, delta, seed=SEED + 1)
+    test_q = data_following(points, n_test, ell, delta, seed=SEED + 2)
+    return points, learn_q, test_q
 
 
-def _variant_row(
-    reward, points, learn_q, test_q, ell, h, sample_rate, block_size, seed
-) -> dict:
+def _variant_row(reward, points, learn_q, test_q, ell, h, sample_rate) -> dict:
     tree = BMTreeLite(
-        2, ell, h=h, reward=reward, sample_rate=sample_rate, seed=seed
+        2, ell, h=h, reward=reward, sample_rate=sample_rate, seed=SEED
     ).fit(points, learn_q)
+    store = BlockStore(points, tree.values(points), DEFAULT_BLOCK_SIZE)
     return {
         "variant": f"BMTree-{reward.upper()}",
         "reward_time_s": round(tree.stats.reward_seconds, 4),
-        "block_accesses": round(_evaluate(tree, points, test_q, block_size), 2),
+        "block_accesses": round(store.avg_block_accesses(test_q), 2),
         "n_reward_evals": tree.stats.n_reward_evals,
     }
 
 
-def vary_cardinality(
-    n_values=None,
-    dataset="OSM",
-    ell=DEFAULT_ELL_QUERY,
-    n_learn=200,
-    n_test=200,
-    delta=1024,
-    h=5,
-    sample_rate=0.1,
-    block_size=DEFAULT_BLOCK_SIZE,
-    seed=0,
-) -> list[dict]:
-    """Figure 11: one row per (N, variant).
-
-    ``sample_rate`` is scaled up from the paper's rho = 1e-3 so the
-    absolute SP sample size at our largest N matches the paper's regime
-    (see EXPERIMENTS.md §0 on scaling)."""
-    rows = []
-    for n_pts in n_values or [10_000, 100_000]:
-        points = make_dataset(dataset, n_pts, ell, seed)
-        learn_q = data_following(points, n_learn, ell, delta, seed=seed + 1)
-        test_q = data_following(points, n_test, ell, delta, seed=seed + 2)
-        for reward in ("sp", "gc", "lc"):
-            row = _variant_row(
-                reward, points, learn_q, test_q, ell, h, sample_rate, block_size, seed
-            )
-            rows.append({"N": n_pts, **row})
-    return rows
+def rows(dataset, n_pts, ell, n_learn, n_test, delta, h, sample_rate) -> list[dict]:
+    """Figures 11-12: one row per reward variant of one configuration."""
+    data = _data(dataset, n_pts, ell, n_learn, n_test, delta)
+    return [_variant_row(reward, *data, ell, h, sample_rate) for reward in REWARDS]
 
 
-def vary_queries(
-    n_learn_values=None,
-    dataset="OSM",
-    n_pts=50_000,
-    ell=DEFAULT_ELL_QUERY,
-    n_test=200,
-    delta=1024,
-    h=5,
-    sample_rate=0.1,
-    block_size=DEFAULT_BLOCK_SIZE,
-    seed=0,
-) -> list[dict]:
-    """Figure 12: one row per (n_learn, variant)."""
-    points = make_dataset(dataset, n_pts, ell, seed)
-    test_q = data_following(points, n_test, ell, delta, seed=seed + 2)
-    rows = []
-    for n_learn in n_learn_values or [100, 500, 1000]:
-        learn_q = data_following(points, n_learn, ell, delta, seed=seed + 1)
-        for reward in ("sp", "gc", "lc"):
-            row = _variant_row(
-                reward, points, learn_q, test_q, ell, h, sample_rate, block_size, seed
-            )
-            rows.append({"n_learn": n_learn, **row})
-    return rows
-
-
-def vary_rho_and_h(
-    rhos=None,
-    hs=None,
-    dataset="SKEW",
-    n_pts=50_000,
-    ell=DEFAULT_ELL_QUERY,
-    n_learn=200,
-    n_test=200,
-    delta=1024,
-    block_size=DEFAULT_BLOCK_SIZE,
-    seed=0,
-) -> list[dict]:
-    """Figure 13: SP across (rho, h) vs GC/LC across h."""
-    points = make_dataset(dataset, n_pts, ell, seed)
-    learn_q = data_following(points, n_learn, ell, delta, seed=seed + 1)
-    test_q = data_following(points, n_test, ell, delta, seed=seed + 2)
-    rows = []
-    for h in hs or [4, 6]:
-        for rho in rhos or [1e-3, 1e-2, 1e-1]:
-            row = _variant_row(
-                "sp", points, learn_q, test_q, ell, h, rho, block_size, seed
-            )
-            rows.append({"h": h, "rho": rho, **row})
+def vary_rho_and_h(star: dict, fig: Figure = FIG13, rhos=FIG13_RHOS) -> list[dict]:
+    """Figure 13: SP across (rho, h) vs GC/LC across h, all on the data
+    of ``star`` with the figure's fixed fields."""
+    c = {**star, **fig.fixed}
+    ell = c["ell"]
+    data = _data(c["dataset"], c["n_pts"], ell, c["n_learn"], c["n_test"], c["delta"])
+    out = []
+    for h in fig.values:
+        for rho in rhos:
+            out.append({"h": h, "rho": rho, **_variant_row("sp", *data, ell, h, rho)})
         for reward in ("gc", "lc"):
-            row = _variant_row(
-                reward, points, learn_q, test_q, ell, h, 1e-3, block_size, seed
-            )
-            rows.append({"h": h, "rho": None, **row})
-    return rows
+            out.append({"h": h, "rho": None, **_variant_row(reward, *data, ell, h, 1e-3)})
+    return out

@@ -2,9 +2,10 @@
 import numpy as np
 import pytest
 
+from repro.core.cost_model import WorkloadCostEstimator
 from repro.core.query import Workload
-from repro.experiments import fig9_10, fig11_13, fig14_17, table6, table7
-from repro.experiments.common import render_table, time_call
+from repro.experiments import fig9_10, fig11_13, fig14_17, table7
+from repro.experiments.common import render_table, sweep, time_call
 
 
 class TestCommon:
@@ -20,9 +21,14 @@ class TestCommon:
         assert "(no rows)" in render_table("T", [])
 
 
+def one_figure(module, fig, **star):
+    """The rows of ``fig`` over the module's star with ``star`` set."""
+    return sweep(module.rows, {**module.STAR, **star}, {"f": fig})["f"]
+
+
 class TestTable6:
     def test_rows_and_speed_claims(self):
-        rows = table6.run(n_values=[8, 64, 256], repeats=2)
+        rows = one_figure(fig9_10, fig9_10.TABLE6._replace(values=(8, 64, 256)))
         assert [r["n"] for r in rows] == [8, 64, 256]
         # the efficient initializations beat the naive evaluations at
         # moderate n (the paper's Table 6 claim)
@@ -33,8 +39,10 @@ class TestTable6:
 
 
 class TestFig9_10:
+    FIGURES = fig9_10.FIGURES
+
     def test_vary_n_gc_flat_ngc_grows(self):
-        rows = fig9_10.vary_n(n_values=[4, 64, 1024])
+        rows = one_figure(fig9_10, self.FIGURES["n"]._replace(values=(4, 64, 1024)))
         # NGC time grows ~linearly with n; GC stays flat (within 10x)
         assert rows[-1]["NGC_us"] > 5 * rows[0]["NGC_us"]
         assert rows[-1]["GC_us"] < 10 * max(rows[0]["GC_us"], 1e-2)
@@ -42,16 +50,17 @@ class TestFig9_10:
         assert rows[-1]["gain_GC"] > 1 and rows[-1]["gain_LC"] > 1
 
     def test_vary_delta_lc_flat_nlc_grows(self):
-        rows = fig9_10.vary_delta(deltas=[8, 64, 256], n=8)
+        rows = one_figure(fig9_10, self.FIGURES["delta"]._replace(values=(8, 64, 256)), n=8)
         assert rows[-1]["NLC_us"] > rows[0]["NLC_us"]
         assert rows[-1]["LC_us"] < 50 * max(rows[0]["LC_us"], 1e-2)
 
     def test_vary_ell_shapes(self):
-        rows = fig9_10.vary_ell(ells=[8, 12], n=8)
+        rows = one_figure(fig9_10, self.FIGURES["ell"]._replace(values=(8, 12)), n=8)
         assert len(rows) == 2 and all("gain_LC" in r for r in rows)
 
     def test_vary_d_gains_positive(self):
-        rows = fig9_10.vary_d(ds=(2, 3), n=8, ell=6, delta=4)
+        fig = self.FIGURES["d"]._replace(values=(2, 3), fixed={"ell": 6, "delta": 4})
+        rows = one_figure(fig9_10, fig, n=8)
         assert all(r["gain_LC"] > 1 for r in rows)
 
 
@@ -70,10 +79,12 @@ class TestTable7:
 
 
 class TestFig11_13:
+    FIGURES = fig11_13.FIGURES
+
     def test_vary_cardinality_shape(self):
-        rows = fig11_13.vary_cardinality(
-            n_values=[2_000, 100_000], ell=10, n_learn=60, n_test=40,
-            delta=64, h=3, sample_rate=1e-1,
+        rows = one_figure(
+            fig11_13, self.FIGURES["11"]._replace(values=(2_000, 100_000)), ell=10,
+            n_learn=60, n_test=40, delta=64, h=3, sample_rate=1e-1,
         )
         assert len(rows) == 6
         sp = {r["N"]: r for r in rows if r["variant"] == "BMTree-SP"}
@@ -87,18 +98,18 @@ class TestFig11_13:
         assert len(evals) == 1
 
     def test_vary_queries_shape(self):
-        rows = fig11_13.vary_queries(
-            n_learn_values=[20, 80], n_pts=5_000, ell=10, n_test=30,
-            delta=64, h=3, sample_rate=5e-2,
+        rows = one_figure(
+            fig11_13, self.FIGURES["12"]._replace(values=(20, 80)), n_pts=5_000, ell=10,
+            n_test=30, delta=64, h=3, sample_rate=5e-2,
         )
         assert len(rows) == 6
         assert all(r["block_accesses"] > 0 for r in rows)
 
     def test_vary_rho_and_h_shape(self):
-        rows = fig11_13.vary_rho_and_h(
-            rhos=[1e-2, 5e-2], hs=[3], n_pts=5_000, ell=10,
-            n_learn=30, n_test=30, delta=64,
-        )
+        star = {**fig11_13.STAR, "n_pts": 5_000, "ell": 10, "n_learn": 30, "n_test": 30,
+                "delta": 64}
+        fig = fig11_13.FIG13._replace(values=(3,))
+        rows = fig11_13.vary_rho_and_h(star, fig, rhos=(1e-2, 5e-2))
         # 2 SP rows + GC + LC
         assert len(rows) == 4
         sp_rows = [r for r in rows if r["variant"] == "BMTree-SP"]
@@ -106,10 +117,13 @@ class TestFig11_13:
 
 
 class TestFig14_17:
+    FIGURES = fig14_17.FIGURES
+    TINY = {"n_learn": 20, "n_test": 20, "ell": 10, "block_size": 32}
+
     def test_overall_small(self):
-        rows = fig14_17.overall(
-            datasets=("UNI", "SKEW"), n_pts=4_000, ell=10,
-            n_learn=30, n_test=30, delta=64, block_size=32,
+        rows = one_figure(
+            fig14_17, self.FIGURES["14"]._replace(values=("UNI", "SKEW")), n_pts=4_000,
+            ell=10, n_learn=30, n_test=30, delta=64, block_size=32,
         )
         assert len(rows) == 2
         for r in rows:
@@ -118,21 +132,46 @@ class TestFig14_17:
 
     def test_unknown_technique_rejected(self):
         learn_q = Workload([[0, 0]], [[3, 3]])
+        est = WorkloadCostEstimator(learn_q, 2, 4)
         with pytest.raises(ValueError, match="unknown technique"):
-            fig14_17.order_values("??", np.zeros((1, 2), dtype=np.uint64), learn_q, 4)
+            fig14_17.order_values("??", np.zeros((1, 2), dtype=np.uint64), learn_q, est)
 
     def test_vary_aspect_labels(self):
-        rows = fig14_17.vary_aspect(
-            aspects=(4.0, 1 / 4.0), n_pts=3_000, ell=10,
-            n_learn=20, n_test=20, delta=32, block_size=32,
+        rows = one_figure(
+            fig14_17, self.FIGURES["16"]._replace(values=(4.0, 1 / 4.0)), n_pts=3_000,
+            delta=32, **self.TINY,
         )
         assert [r["aspect"] for r in rows] == ["4:1", "1:4"]
 
     def test_vary_edge_length_grows(self):
-        rows = fig14_17.vary_edge_length(
-            deltas=(16, 128), n_pts=5_000, ell=10,
-            n_learn=20, n_test=20, block_size=32,
+        rows = one_figure(
+            fig14_17, self.FIGURES["17"]._replace(values=(16, 128)), n_pts=5_000, **self.TINY,
         )
         # bigger queries touch more blocks for every technique
         assert rows[1]["ZC"] >= rows[0]["ZC"]
         assert rows[1]["HC"] >= rows[0]["HC"]
+
+    def test_one_call_computes_each_configuration_once(self, monkeypatch):
+        calls = []
+        real = fig14_17.rows
+
+        def counted(**config):
+            calls.append(config)
+            return real(**config)
+
+        monkeypatch.setattr(fig14_17, "rows", counted)
+        star = {**fig14_17.STAR, "dataset": "UNI", "n_pts": 2_000, "delta": 64, **self.TINY}
+        figures = {
+            "14": self.FIGURES["14"]._replace(values=("UNI", "SKEW")),
+            "15": self.FIGURES["15"]._replace(values=(1_000, 2_000)),
+            "16": self.FIGURES["16"]._replace(values=(1.0, 1 / 16.0)),
+            "17": self.FIGURES["17"]._replace(values=(32, 64)),
+        }
+        rows = sweep(fig14_17.rows, star, figures)
+        # the star plus one other configuration per figure
+        assert len(calls) == 5
+        assert len({tuple(sorted(c.items())) for c in calls}) == 5
+        # the star row is the same in every figure: first in Fig 14, last elsewhere
+        star_rows = [rows["14"][0]] + [rows[k][-1] for k in ("15", "16", "17")]
+        assert len({tuple((t, r[t]) for t in fig14_17.TECHNIQUES) for r in star_rows}) == 1
+

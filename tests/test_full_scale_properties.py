@@ -108,8 +108,7 @@ def test_blocked_contraction_equals_one_block(monkeypatch, d, ell):
     whole = PatternTables(w, d, ell)
     monkeypatch.setattr(local_cost, "_BLOCK_ENTRIES", 100)
     blocked = PatternTables(w, d, ell)
-    for a, b in zip(blocked.tables, whole.tables):
-        assert np.array_equal(a, b)
+    assert np.array_equal(blocked.table, whole.table)
 
 
 @pytest.mark.parametrize("ell", [30, 31, 40])

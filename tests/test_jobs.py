@@ -49,15 +49,25 @@ class TestDriverJobs:
             mod["main"](["--figure", "bogus"])
 
     def test_block_access_fig14_small(self, capsys):
-        from repro.experiments import fig14_17
-        from repro.experiments.common import render_table
+        assert _load("block_access.py")["main"](["--figure", "14", "--n-pts", "2000"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "== Fig 14 — all datasets =="
+        assert lines[1].split() == ["dataset", "|", "LBMC", "|", "BMTree", "|", "QUILTS", "|",
+                                    "ZC", "|", "HC", "|", "LC"]
+        rows = [line.split(" | ") for line in lines[3:7]]
+        assert [r[0].strip() for r in rows] == ["OSM", "NYC", "UNI", "SKEW"]
+        assert all(float(v) > 0 for r in rows for v in r[1:])
+        assert lines[7:] == [""]
 
-        rows = fig14_17.overall(datasets=("UNI",), n_pts=2000, ell=10,
-                                n_learn=20, n_test=20, delta=64, block_size=32)
-        print(render_table("Fig 14", rows))
-        out = capsys.readouterr().out
-        assert "LBMC" in out
-        assert _load("block_access.py")["main"] is not None
+    def test_block_access_all_computes_twelve_configurations(self, monkeypatch, capsys):
+        # Figs 14-17 share the star configuration: 15 rows, 12 distinct
+        from repro.experiments import fig14_17
+
+        calls = []
+        monkeypatch.setattr(fig14_17, "rows", lambda **config: calls.append(config) or [{}])
+        assert _load("block_access.py")["main"]([]) == 0
+        assert len(calls) == len({tuple(sorted(c.items())) for c in calls}) == 12
+        assert capsys.readouterr().out.count("== Fig 1") == 4
 
 
 class TestLayoutDemo:

@@ -8,6 +8,9 @@ from repro.core.bmc import BMC
 from repro.core.cost_model import WorkloadCostEstimator
 from repro.core.query import Workload
 from repro.learn.lbmc import LBMC, encode, greedy_hill_climb, valid_action_mask
+from repro.learn.quilts import design_candidates, quilts
+from repro.workloads.datasets import make_dataset
+from repro.workloads.queries import data_following
 
 
 def wide_workload(ell=6, n=12, seed=0):
@@ -98,6 +101,21 @@ class TestLearning:
         est = WorkloadCostEstimator(wide_workload(), 2, 6)
         with pytest.raises(ValueError):
             LBMC(est).learn(BMC.zc(2, 5))
+
+    @pytest.mark.parametrize("aspect", [1 / 16.0, 1.0, 16.0])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_quilts_winner_start_equals_candidate_family_start(self, aspect, seed):
+        # ZC is a QUILTS candidate and best_of keeps the first minimum, so
+        # best_of([ZC, *family]) and best_of([ZC, QUILTS' winner]) agree
+        points = make_dataset("OSM", 5_000, 10, seed)
+        wl = data_following(points, 100, 10, 64, aspect, seed=seed + 1)
+        est = WorkloadCostEstimator(wl, 2, 10)
+        runs = [
+            LBMC(est, episodes=3, seed=seed).learn(warm_start=start)
+            for start in (design_candidates(wl, 2, 10), [quilts(est, wl).best])
+        ]
+        a, b = ((r.best, r.best_cost, r.initial_cost, r.cost_history) for r in runs)
+        assert a == b
 
     def test_lbmc_approaches_hill_climb_quality(self):
         # small search space (8 slots): RL should match pure exploitation

@@ -124,9 +124,9 @@ class TestPatternTables:
 
     def test_table_shapes(self):
         t2 = PatternTables(Workload([[0, 0]], [[3, 3]]), 2, 4)
-        assert [t.shape for t in t2.tables] == [(4, 5), (4, 5)]
+        assert [t.shape for t in t2.table] == [(4, 5), (4, 5)]
         t3 = PatternTables(Workload([[0, 0, 0]], [[3, 3, 3]]), 3, 4)
-        assert [t.shape for t in t3.tables] == [(4, 5, 5)] * 3
+        assert [t.shape for t in t3.table] == [(4, 5, 5)] * 3
 
     def test_shape_mismatch_rejected(self):
         tables = PatternTables(Workload([[0, 0]], [[3, 3]]), 2, 4)
