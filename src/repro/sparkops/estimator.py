@@ -24,18 +24,22 @@ from repro.core.query import Workload
 def queries_to_spark(
     spark: SparkSession, queries: Workload, n_partitions: int = 8
 ) -> DataFrame:
-    """Workload as a DataFrame with lo_<i>/hi_<i> BIGINT columns; the
-    grid is checked where the DataFrame is fitted.
+    """Workload as a DataFrame with lo_<i>/hi_<i> BIGINT columns in at
+    most ``n_partitions`` partitions; the grid is checked where the
+    DataFrame is fitted.
 
     Built from a ``pyarrow.Table``, which ``createDataFrame`` takes by
-    Arrow whatever ``spark.sql.execution.arrow.pyspark.enabled`` says."""
+    Arrow whatever ``spark.sql.execution.arrow.pyspark.enabled`` says.
+    The partitions are merged with ``coalesce`` (narrow, no shuffle):
+    the fit collects the frame back to the driver, so a shuffle to
+    spread it would be paid for nothing."""
     if not len(queries):
         raise ValueError("empty workload")
     cols = {}
     for i in range(queries.d):
         cols[f"lo_{i}"] = queries.lo[:, i]
         cols[f"hi_{i}"] = queries.hi[:, i]
-    return spark.createDataFrame(pa.table(cols)).repartition(n_partitions)
+    return spark.createDataFrame(pa.table(cols)).coalesce(n_partitions)
 
 
 def fit_estimator_distributed(

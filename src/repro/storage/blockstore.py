@@ -13,6 +13,13 @@ under this metric matches the PostgreSQL measurements.
 
 Default block size: 204 points/block ≈ an 8 KB PostgreSQL heap page
 holding 2-D points with a rowid (3 * 8 bytes + tuple overhead ~40 B).
+
+Storage type: non-negative integer coordinates, and the per-block zone
+map, are held in the narrowest unsigned type that holds the largest one
+(``np.min_scalar_type``; uint16 on a 2^16 grid), and a query's int64
+bounds are cast into that type exactly before the scan.  A uint16
+comparison over the ~10^4 points a query examines runs ~3x faster than
+a uint64 one.  Negative or float coordinates are stored as given.
 """
 from __future__ import annotations
 
@@ -74,6 +81,9 @@ class BlockStore:
     per-page min/max that Parquet row groups and BRIN indexes keep), so
     a query scans only the blocks whose box it meets.
 
+    ``points`` holds the input's values; non-negative integer points
+    are stored in the narrowest unsigned type that holds them.
+
     Points of equal value keep their input order.  The build sorts the
     unique keys ``value << k | row`` (``k`` the bit length of ``n - 1``)
     with one in-place ``np.sort`` when the values are non-negative
@@ -96,15 +106,21 @@ class BlockStore:
         n, d = pts.shape
         self.block_size = block_size
         self.n_blocks = -(-n // block_size)
+        # the narrowest type that holds the coordinates (module docstring)
+        dtype = pts.dtype
+        if n and pts.dtype.kind in "iu" and (pts.dtype.kind == "u" or pts.min() >= 0):
+            dtype = np.min_scalar_type(pts.max())
         # one contiguous run per dimension, padded to whole blocks so a
         # block's points are one row of ``_cols[i].reshape(n_blocks, B)``;
         # gathering column by column is also ~3x faster than pts[order]
-        self._cols = np.empty((d, self.n_blocks * block_size), dtype=pts.dtype)
+        self._cols = np.empty((d, self.n_blocks * block_size), dtype=dtype)
         self._cols[:, n:] = 0
         for i in range(d):
             # ``order`` is a permutation, so "clip" never clips; it spares
-            # the copy of ``out`` that the default "raise" mode buffers
-            np.take(pts[:, i], order, out=self._cols[i, :n], mode="clip")
+            # the copy of ``out`` that the default "raise" mode buffers.
+            # Casting the column first keeps ``take`` a same-type gather.
+            col = pts[:, i].astype(dtype, copy=False)
+            np.take(col, order, out=self._cols[i, :n], mode="clip")
         self.points = self._cols[:, :n].T
         # the zone map: (n_blocks, d) per-block minima and maxima
         starts = np.arange(0, n, block_size)
@@ -126,23 +142,31 @@ class BlockStore:
         n, d = self.points.shape
         if lo.shape[1] != d:
             raise ValueError("query dimensionality mismatch")
-        if self.points.dtype.kind == "u":
-            # exact (valid bounds have lo >= 0), and uint64 comparisons run
-            # ~1.7x faster than numpy's mixed int64/uint64 ones
-            lo, hi = lo.astype(np.uint64), hi.astype(np.uint64)
-        B, nb = self.block_size, self.n_blocks
         m = len(lo)
+        live = np.ones(m, dtype=bool)
+        dtype = self._cols.dtype
+        if dtype.kind == "u":
+            # Cast the bounds exactly into the points' type, whose
+            # same-type comparisons are the fast ones: bounds past the
+            # type's top are clipped to it, and a query whose ``lo`` passed
+            # it in any dimension matches nothing.  At uint64 none can pass.
+            if dtype.itemsize < 8:
+                top = np.iinfo(dtype).max
+                live = (lo <= top).all(axis=1)
+                lo, hi = np.minimum(lo, top), np.minimum(hi, top)
+            lo, hi = lo.astype(dtype), hi.astype(dtype)
+        B, nb = self.block_size, self.n_blocks
         rows, blocks, examined = (np.zeros(m, dtype=np.int64) for _ in range(3))
         last = np.zeros(m, dtype=bool)
         step = max(1, _MASK_ENTRIES // max(1, nb * B))
         for s in range(0, m, step):
             qlo, qhi = lo[s : s + step], hi[s : s + step]
-            # step 1: the (query, block) pairs whose box meets the query
-            meets = np.ones((len(qlo), nb), dtype=bool)
+            # step 1: the (query, block) pairs whose box meets a live query
+            meets = np.repeat(live[s : s + step, None], nb, axis=1)
             for i in range(d):
                 meets &= self.box_lo[:, i] <= qhi[:, i, None]
                 meets &= self.box_hi[:, i] >= qlo[:, i, None]
-            q, b = np.nonzero(meets)
+            q, b = np.divmod(np.flatnonzero(meets), nb)
             examined[s : s + step] = np.bincount(q, minlength=len(qlo))
             # step 2: the exact test over the points of those blocks only
             match = np.ones((len(q), B), dtype=bool)
@@ -150,13 +174,16 @@ class BlockStore:
                 col = self._cols[i].reshape(nb, B)[b]
                 match &= col >= qlo[q, i, None]
                 match &= col <= qhi[q, i, None]
-            # the pad after the last point never matches
-            in_last = b == nb - 1
-            match[in_last, n - (nb - 1) * B :] = False
             hits = np.count_nonzero(match, axis=1)
+            # the pad after the last point (zeros) is no row: its matches
+            # are taken off the last block's hits
+            in_last = np.flatnonzero(b == nb - 1)
+            if len(in_last):
+                pad = np.count_nonzero(match[in_last, n - (nb - 1) * B :], axis=1)
+                hits[in_last] -= pad
+                last[s + q[in_last[hits[in_last] > 0]]] = True
             rows[s : s + step] = np.bincount(q, weights=hits, minlength=len(qlo))
             blocks[s : s + step] = np.bincount(q[hits > 0], minlength=len(qlo))
-            last[s + q[in_last & (hits > 0)]] = True
         return Accesses(rows, blocks, blocks * B - last * (nb * B - n), examined)
 
     def _one(self, q: RangeQuery) -> Accesses:

@@ -131,14 +131,23 @@ def stores(draw):
     origin, and a mask bound that lets anywhere from one query to all of
     them share a pass of ``accesses``.
 
+    Points are non-negative integers (stored in a narrower unsigned
+    type, and the queries reach past it at ``top`` = 255), negative
+    integers or floats (both stored as they are).
+
     Values are either random, so every block's box spans about the whole
     domain and nothing is pruned, or one coordinate, so boxes are tight
     along it."""
     d = draw(st.integers(1, 4))
     n = draw(st.integers(0, 300))
-    top = draw(st.sampled_from([1, 7, 63]))
-    dtype = draw(st.sampled_from([np.uint64, np.int64]))
-    pts = draw(arrays(dtype, (n, d), elements=st.integers(0, top)))
+    top = draw(st.sampled_from([1, 7, 63, 255, 65535]))
+    kind = draw(st.sampled_from(["uint64", "int64", "negative", "float64"]))
+    if kind == "negative":
+        pts = draw(arrays(np.int64, (n, d), elements=st.integers(-top - 1, top)))
+    elif kind == "float64":
+        pts = draw(arrays(np.float64, (n, d), elements=st.integers(0, top).map(float)))
+    else:
+        pts = draw(arrays(np.dtype(kind), (n, d), elements=st.integers(0, top)))
     by = draw(st.sampled_from([None, *range(d)]))
     if by is None:
         vals = draw(arrays(np.uint64, n, elements=st.integers(0, 9)))
@@ -160,6 +169,16 @@ def stores(draw):
     boxes = fixed + drawn
     queries = Workload([lo for lo, _ in boxes], [hi for _, hi in boxes])
     return pts, vals, block_size, mask_entries, queries
+
+
+def stored_dtype(pts):
+    """The type a store keeps ``pts`` in: the narrowest unsigned integer
+    type that holds them when they are non-negative integers, else
+    their own."""
+    if len(pts) and pts.dtype.kind in "iu" and pts.min() >= 0:
+        top = int(pts.max())
+        return next(t for t in (np.uint8, np.uint16, np.uint32, np.uint64) if top <= np.iinfo(t).max)
+    return pts.dtype
 
 
 def brute_force(pts, vals, block_size, q):
@@ -186,6 +205,7 @@ class TestAgainstBruteForce:
         ref = [brute_force(pts, vals, block_size, q) for q in queries]
         order = np.argsort(vals, kind="stable")
         assert store.points.shape == pts.shape
+        assert store.points.dtype == stored_dtype(pts)
         assert np.array_equal(store.points, pts[order])
         with mock.patch.object(blockstore, "_MASK_ENTRIES", mask_entries):
             acc = store.accesses(queries)
@@ -211,7 +231,13 @@ def keyed_stores(draw, side):
     With ``k`` the bit length of ``n - 1``, the widest value has
     ``64 - k`` bits on the ``"key"`` side and ``65 - k`` bits (or a
     negative value) on the ``"argsort"`` side.  The values are a few
-    distinct ones repeated, so most rows tie with others."""
+    distinct ones repeated, so most rows tie with others.
+
+    The largest coordinate is ``span``, drawn on both sides of every
+    switch between stored types (uint8 to uint64).  Besides a random few,
+    the queries cover everything, the origin, the largest coordinate and
+    past it, and reach past the largest coordinate and past the stored
+    type's top with ``hi`` and with ``lo``."""
     d = draw(st.integers(1, 4))
     block_size = draw(st.integers(1, 64))
     n = draw(st.sampled_from([0, 1, block_size, block_size + 1]) | st.integers(0, 2000))
@@ -231,12 +257,19 @@ def keyed_stores(draw, side):
     pick[: min(n, len(pool))] = np.arange(min(n, len(pool)))  # the widest value is drawn
     rng.shuffle(pick)
     vals = np.array(pool, dtype=dtype)[pick]
-    span = draw(st.sampled_from([1, 7, 63, 1 << 60]))
+    spans = [1, 7, 63, 255, 256, 65535, 65536, (1 << 32) - 1, 1 << 32, 1 << 60]
+    span = draw(st.sampled_from(spans))
     pts = rng.integers(0, span, size=(n, d), endpoint=True).astype(draw(st.sampled_from([np.uint64, np.int64])))
+    if n:
+        pts[rng.integers(n), rng.integers(d)] = span  # the largest coordinate is drawn
+    top = np.iinfo(stored_dtype(pts)).max if n else span
+    past = (1 << 63) - 1  # the largest bound a Workload holds
+    beyond = min(top + 1, past)  # past the stored type's top
     corners = rng.integers(0, span, size=(3, 2, d), endpoint=True)
+    lo, hi = corners.min(axis=1).tolist(), corners.max(axis=1).tolist()
     queries = Workload(
-        [[0] * d, [0] * d, *corners.min(axis=1).tolist()],
-        [[span] * d, [0] * d, *corners.max(axis=1).tolist()],
+        [[0] * d, [0] * d, [span] * d, [span + 1] * d, lo[0], [0] * (d - 1) + [beyond], *lo],
+        [[span] * d, [0] * d, [past] * d, [past] * d, [beyond] * d, [span] * (d - 1) + [past], *hi],
     )
     return pts, vals, block_size, queries
 
@@ -254,7 +287,7 @@ class TestKeySort:
         assert spy.called == (side == "argsort" or len(vals) == 0)
         order = np.argsort(vals, kind="stable")
         starts = np.arange(0, len(vals), block_size)
-        assert store.points.dtype == pts.dtype and store.values.dtype == vals.dtype
+        assert store.points.dtype == stored_dtype(pts) and store.values.dtype == vals.dtype
         assert np.array_equal(store.points, pts[order])
         assert np.array_equal(store.values, vals[order])
         assert np.array_equal(store.box_lo, np.minimum.reduceat(pts[order], starts, axis=0))

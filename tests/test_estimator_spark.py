@@ -26,6 +26,13 @@ class TestRoundTrip:
         with pytest.raises(ValueError):
             queries_to_spark(spark, Workload(np.zeros((0, 2)), np.zeros((0, 2))))
 
+    @pytest.mark.parametrize("n_partitions", [1, 64])
+    def test_partitions_bounded_without_a_shuffle(self, spark, capsys, n_partitions):
+        df = queries_to_spark(spark, random_workload(50, 2, 8), n_partitions=n_partitions)
+        assert 1 <= df.rdd.getNumPartitions() <= n_partitions
+        df.explain()
+        assert "Exchange" not in capsys.readouterr().out
+
 
 def assert_same_estimator(dist, local, d, ell):
     """Equal init statistics, table arithmetic and scores."""
@@ -91,7 +98,7 @@ class TestDistributedFit:
         # over 4 partitions per slot: most partitions empty
         slots = spark.sparkContext.defaultParallelism
         qs = random_workload(n, 2, 8, seed=n)
-        df = queries_to_spark(spark, qs, n_partitions=parts_per_slot * slots + 1)
+        df = queries_to_spark(spark, qs).repartition(parts_per_slot * slots + 1)
         assert_same_estimator(
             fit_estimator_distributed(df, 2, 8), WorkloadCostEstimator(qs, 2, 8), 2, 8
         )
@@ -111,7 +118,7 @@ class TestDistributedFit:
         assert local.lc.total_cells >= EXACT_FLOAT_CELLS
         assert local.lc.table.dtype == object
         slots = spark.sparkContext.defaultParallelism
-        df = queries_to_spark(spark, qs, n_partitions=2 * slots + 1)
+        df = queries_to_spark(spark, qs).repartition(2 * slots + 1)
         assert_same_estimator(fit_estimator_distributed(df, d, ell), local, d, ell)
 
 
